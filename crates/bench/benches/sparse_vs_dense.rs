@@ -1,21 +1,15 @@
-//! Sparse-path kernel speed: cache-blocked matvec, multi-vector
-//! streaming, block Lanczos — plus the original sparse-vs-dense
-//! pipeline comparison. The PR 6 acceptance bench.
+//! Sparse-path kernel speed: cache-blocked matvec and the full-run
+//! Lanczos decomposition — plus the original sparse-vs-dense pipeline
+//! comparison.
 //!
-//! Four sections, every one gated on correctness **before** timing (a
-//! kernel that drifts can never post a number):
+//! Every section is gated on correctness **before** timing (a kernel
+//! that drifts can never post a number):
 //!
 //! * **matvec** — the cache-blocked `matvec_into` on a CSR matrix far
 //!   larger than last-level cache, against the allocating `matvec`
 //!   wrapper (same kernel, shows the allocation overhead).
-//! * **matvec_multi** — `matvec_multi_into` streaming the CSR arena
-//!   *once* for 8 right-hand sides vs 8 back-to-back single matvecs
-//!   (8× the arena traffic). This is the matvec-bound portion the PR's
-//!   ≥ 2× acceptance gate applies to, asserted at the bottom.
-//! * **lanczos** — full-subspace `block_lanczos_ritz_values` (multi-
-//!   vector kernels, `RITZ_BLOCK` Ritz directions per arena pass) vs
-//!   plain `lanczos_ritz_values` on a real Δ₁ above the
-//!   `BLOCK_LANCZOS_MIN` routing threshold.
+//! * **lanczos** — the full-subspace `lanczos_ritz_values` on a real Δ₁,
+//!   gated against the dense Jacobi spectrum.
 //! * **estimate** — the infinite-shot β̃₁ through the dense
 //!   `SpectralBackend` (full Jacobi) vs the sparse `LanczosBackend`
 //!   (matvec-only Ritz values), the headline `LaplacianOp` comparison.
@@ -33,7 +27,7 @@
 use qtda_core::estimator::{BettiEstimator, EstimatorConfig};
 use qtda_engine::{BatchEngine, BettiJob, EngineConfig, FlightRecorder};
 use qtda_linalg::profile::{profiled, SolveProfile};
-use qtda_linalg::{block_lanczos_ritz_values, lanczos_ritz_values, CsrMatrix, RITZ_BLOCK};
+use qtda_linalg::{lanczos_ritz_values, CsrMatrix, SymEigen};
 use qtda_obs::{MetricsRegistry, OpsState, ScrapeServer};
 use qtda_tda::laplacian::{combinatorial_laplacian, combinatorial_laplacian_sparse};
 use qtda_tda::point_cloud::synthetic;
@@ -47,13 +41,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Right-hand sides in the multi-vector section (matches the block
-/// width the sparse spectrum route uses).
-const MULTI_RHS: usize = 8;
-
 /// Rows in the synthetic kernel matrix: with ~32 nnz/row this puts the
-/// arena (values + column indices) well past last-level cache, so the
-/// single-vector baseline pays the full 8× memory traffic.
+/// arena (values + column indices) well past last-level cache.
 const KERNEL_ROWS: usize = 65_536;
 const KERNEL_NNZ_PER_ROW: usize = 32;
 
@@ -136,62 +125,38 @@ fn main() {
     });
     // `cargo bench` may pass harness flags like `--bench`; ignore them.
 
-    // ── Section 1+2 workload: the out-of-cache kernel matrix ─────────
+    // ── Section 1 workload: the out-of-cache kernel matrix ───────────
     let m = kernel_matrix();
     let n = KERNEL_ROWS;
     let arena_mb = (m.nnz() * (8 + 4)) as f64 / (1024.0 * 1024.0);
-    println!(
-        "sparse_vs_dense: kernel matrix {n}×{n}, {} nnz (~{arena_mb:.0} MiB arena), {MULTI_RHS} rhs",
-        m.nnz()
-    );
+    println!("sparse_vs_dense: kernel matrix {n}×{n}, {} nnz (~{arena_mb:.0} MiB arena)", m.nnz());
 
-    let xs: Vec<Vec<f64>> = (0..MULTI_RHS).map(|j| random_vec(n, 100 + j as u64)).collect();
-    let x_refs: Vec<&[f64]> = xs.iter().map(Vec::as_slice).collect();
+    let x = random_vec(n, 100);
 
-    // Correctness gate: the fast paths must be bit-identical to the
+    // Correctness gate: the fast path must be bit-identical to the
     // reference kernel on this exact workload before any timing.
     {
-        let reference: Vec<Vec<f64>> = xs.iter().map(|x| m.matvec(x)).collect();
         let mut y = vec![0.0; n];
-        m.matvec_into(&xs[0], &mut y);
-        assert_bits_eq(&y, &reference[0], "matvec_into");
-        let multi = m.matvec_multi(&x_refs);
-        for (j, single) in reference.iter().enumerate() {
-            assert_bits_eq(&multi[j], single, &format!("matvec_multi rhs {j}"));
-        }
-        println!("correctness gate passed: fast kernels bit-identical to reference matvec");
+        m.matvec_into(&x, &mut y);
+        assert_bits_eq(&y, &m.matvec(&x), "matvec_into");
+        println!("correctness gate passed: matvec_into bit-identical to reference matvec");
     }
 
     let reps = 20;
     // Section 1: allocation-free single matvec vs the allocating wrapper.
     let mut y = vec![0.0; n];
     let matvec_into = time_best(reps, || {
-        m.matvec_into(black_box(&xs[0]), black_box(&mut y));
+        m.matvec_into(black_box(&x), black_box(&mut y));
     });
     let matvec_alloc = time_best(reps, || {
-        black_box(m.matvec(black_box(&xs[0])));
+        black_box(m.matvec(black_box(&x)));
     });
-
-    // Section 2: one arena pass for 8 rhs vs 8 back-to-back passes.
-    let singles = time_best(reps, || {
-        for x in &xs {
-            m.matvec_into(black_box(x), black_box(&mut y));
-        }
-    });
-    let mut flat = vec![0.0; n * MULTI_RHS];
-    let multi = time_best(reps, || {
-        m.matvec_multi_into(black_box(&x_refs), black_box(&mut flat));
-    });
-    let multi_speedup = singles.as_secs_f64() / multi.as_secs_f64();
 
     let us = |d: Duration| d.as_secs_f64() * 1e6;
     println!("matvec_into           : {:9.1} µs", us(matvec_into));
     println!("matvec (alloc)        : {:9.1} µs", us(matvec_alloc));
-    println!("{MULTI_RHS} singles             : {:9.1} µs", us(singles));
-    println!("matvec_multi({MULTI_RHS})       : {:9.1} µs", us(multi));
-    println!("multi-vector speedup  : {multi_speedup:9.2}x");
 
-    // ── Section 3+4 workload: a real Δ₁ above BLOCK_LANCZOS_MIN ──────
+    // ── Section 2+3 workload: a real Δ₁ ──────────────────────────────
     // Per-phase timings: what the pipeline spends *before* any solver
     // runs — complex construction and both Laplacian assemblies.
     let phase_reps = 5;
@@ -208,32 +173,24 @@ fn main() {
     });
     let dense = combinatorial_laplacian(&complex, 1);
     let sparse = combinatorial_laplacian_sparse(&complex, 1);
-    assert!(
-        edges >= qtda_core::pipeline::BLOCK_LANCZOS_MIN,
-        "Δ₁ ({edges} edges) below the block-Lanczos routing threshold"
-    );
     println!("Δ₁ workload           : {edges} edges (flag complex on 60 vertices)");
 
-    // Gate: full-subspace block Lanczos must agree with plain Lanczos.
+    // Gate: the full-subspace run must reproduce the dense spectrum.
     {
-        let plain = lanczos_ritz_values(&sparse, edges, 99);
-        let blocked = block_lanczos_ritz_values(&sparse, edges, 99, RITZ_BLOCK);
-        assert_eq!(plain.len(), blocked.len());
-        for (a, b) in blocked.iter().zip(&plain) {
-            assert!((a - b).abs() <= 1e-7 * (1.0 + b.abs()), "block Lanczos diverged: {a} vs {b}");
+        let ritz = lanczos_ritz_values(&sparse, edges, 99);
+        let jacobi = SymEigen::eigenvalues(&dense);
+        assert_eq!(ritz.len(), jacobi.len());
+        for (a, b) in ritz.iter().zip(&jacobi) {
+            assert!((a - b).abs() <= 1e-9 * (1.0 + b.abs()), "Lanczos diverged: {a} vs {b}");
         }
-        println!("correctness gate passed: block Lanczos matches plain Ritz values");
+        println!("correctness gate passed: Lanczos Ritz values match the Jacobi spectrum");
     }
 
     let lanczos_reps = 5;
     let plain_lanczos = time_best(lanczos_reps, || {
         black_box(lanczos_ritz_values(black_box(&sparse), edges, 99));
     });
-    let block_lanczos = time_best(lanczos_reps, || {
-        black_box(block_lanczos_ritz_values(black_box(&sparse), edges, 99, RITZ_BLOCK));
-    });
-    println!("plain lanczos (m={edges}) : {:9.1} µs", us(plain_lanczos));
-    println!("block lanczos (b={RITZ_BLOCK})    : {:9.1} µs", us(block_lanczos));
+    println!("lanczos (m={edges})     : {:9.1} µs", us(plain_lanczos));
 
     // Solver cost profiles — the paper's unit of work (Laplacian
     // applications per estimate), from untimed profiled runs so the
@@ -242,19 +199,12 @@ fn main() {
     let ((), plain_profile) = profiled(|| {
         black_box(lanczos_ritz_values(black_box(&sparse), edges, 99));
     });
-    let ((), block_profile) = profiled(|| {
-        black_box(block_lanczos_ritz_values(black_box(&sparse), edges, 99, RITZ_BLOCK));
-    });
     println!(
-        "plain lanczos cost    : {} matvecs, {} iterations",
+        "lanczos cost          : {} matvecs, {} iterations",
         plain_profile.matvecs, plain_profile.lanczos_iterations
     );
-    println!(
-        "block lanczos cost    : {} matvecs, {} iterations (width {})",
-        block_profile.matvecs, block_profile.lanczos_iterations, block_profile.block_width
-    );
 
-    // Section 4: the headline dense-vs-sparse estimate.
+    // Section 3: the headline dense-vs-sparse estimate.
     let config = EstimatorConfig { precision_qubits: 6, ..Default::default() };
     let dense_estimator = BettiEstimator::new(config);
     let sparse_estimator = BettiEstimator::new_sparse(config);
@@ -289,7 +239,7 @@ fn main() {
         us(sparse_assembly)
     );
 
-    // ── Section 5: scrape-under-load overhead (PR 8 ops surface) ─────
+    // ── Section 4: scrape-under-load overhead (PR 8 ops surface) ─────
     // A fully observable engine (live registry + flight recorder,
     // caching off so every rep recomputes) serving small batches, timed
     // bare and again under a scraper hammering `GET /metrics` over TCP.
@@ -370,24 +320,18 @@ fn main() {
     if let Some(path) = json_path {
         let profile_json = |p: &SolveProfile| {
             format!(
-                "{{ \"matvecs\": {}, \"lanczos_iterations\": {}, \"restarts\": {}, \"block_width\": {} }}",
-                p.matvecs, p.lanczos_iterations, p.restarts, p.block_width
+                "{{ \"matvecs\": {}, \"lanczos_iterations\": {}, \"restarts\": {} }}",
+                p.matvecs, p.lanczos_iterations, p.restarts
             )
         };
         let json = format!(
-            "{{\n  \"bench\": \"sparse_vs_dense\",\n  \"kernel_rows\": {},\n  \"kernel_nnz\": {},\n  \"multi_rhs\": {},\n  \"matvec_into_us\": {:.1},\n  \"matvec_alloc_us\": {:.1},\n  \"singles_x{}_us\": {:.1},\n  \"matvec_multi_us\": {:.1},\n  \"multi_speedup\": {:.2},\n  \"delta1_edges\": {},\n  \"plain_lanczos_us\": {:.1},\n  \"block_lanczos_us\": {:.1},\n  \"dense_estimate_us\": {:.1},\n  \"sparse_estimate_us\": {:.1},\n  \"estimate_speedup\": {:.2},\n  \"phase_us\": {{ \"complex_build\": {:.1}, \"dense_assembly\": {:.1}, \"sparse_assembly\": {:.1} }},\n  \"solve_profiles\": {{\n    \"plain_lanczos\": {},\n    \"block_lanczos\": {},\n    \"sparse_estimate\": {}\n  }},\n  \"ops_surface\": {{ \"serve_bare_us\": {:.1}, \"serve_scraped_us\": {:.1}, \"scrapes\": {}, \"scrape_overhead_pct\": {:.2} }}\n}}\n",
+            "{{\n  \"bench\": \"sparse_vs_dense\",\n  \"kernel_rows\": {},\n  \"kernel_nnz\": {},\n  \"matvec_into_us\": {:.1},\n  \"matvec_alloc_us\": {:.1},\n  \"delta1_edges\": {},\n  \"plain_lanczos_us\": {:.1},\n  \"dense_estimate_us\": {:.1},\n  \"sparse_estimate_us\": {:.1},\n  \"estimate_speedup\": {:.2},\n  \"phase_us\": {{ \"complex_build\": {:.1}, \"dense_assembly\": {:.1}, \"sparse_assembly\": {:.1} }},\n  \"solve_profiles\": {{\n    \"plain_lanczos\": {},\n    \"sparse_estimate\": {}\n  }},\n  \"ops_surface\": {{ \"serve_bare_us\": {:.1}, \"serve_scraped_us\": {:.1}, \"scrapes\": {}, \"scrape_overhead_pct\": {:.2} }}\n}}\n",
             n,
             m.nnz(),
-            MULTI_RHS,
             us(matvec_into),
             us(matvec_alloc),
-            MULTI_RHS,
-            us(singles),
-            us(multi),
-            multi_speedup,
             edges,
             us(plain_lanczos),
-            us(block_lanczos),
             us(dense_estimate),
             us(sparse_estimate),
             estimate_speedup,
@@ -395,7 +339,6 @@ fn main() {
             us(dense_assembly),
             us(sparse_assembly),
             profile_json(&plain_profile),
-            profile_json(&block_profile),
             profile_json(&estimate_profile),
             us(serve_bare),
             us(serve_scraped),
@@ -406,10 +349,6 @@ fn main() {
         println!("wrote {path}");
     }
 
-    assert!(
-        multi_speedup >= 2.0,
-        "multi-vector kernel below the 2x acceptance gate ({multi_speedup:.2}x)"
-    );
     assert!(
         scrape_overhead < 0.01,
         "scraping perturbed the serving path by {:.2}% (gate: < 1%)",

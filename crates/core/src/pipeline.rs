@@ -34,22 +34,6 @@ use qtda_tda::SimplicialComplex;
 /// absolute terms and matches the paper's worked example bit for bit.
 pub const DEFAULT_SPARSE_THRESHOLD: usize = 64;
 
-/// Padded dimension at or above which the sparse route's full-spectrum
-/// decomposition runs **block Lanczos**
-/// ([`qtda_linalg::block_lanczos_ritz_values`] with
-/// [`qtda_linalg::RITZ_BLOCK`] right-hand sides per arena pass) instead
-/// of the single-vector recurrence. Below this the dense projected
-/// solve costs more than the streaming saves; both produce the same
-/// spectrum to solver precision, and each route is individually
-/// deterministic (bit-identical across worker counts and cache states)
-/// — routing depends only on the padded size, never on timing.
-///
-/// Related kernel-layer tunable: [`qtda_linalg::PAR_ROWS`] is the CSR
-/// row count at or above which a single matvec row-parallelises over
-/// the rayon pool (fixed 128-row blocks, so the reduction order — and
-/// hence the bits — never depends on the worker count).
-pub const BLOCK_LANCZOS_MIN: usize = 128;
-
 /// Which concrete backend a `(complex, dimension)` unit is routed to.
 ///
 /// The three tiers trade asymptotics against constants: the gate-level

@@ -11,7 +11,7 @@ use crate::padding::{effective_lambda_max, LambdaMaxBound, PaddingScheme};
 use crate::scaling::{eigenvalue_to_phase, Delta};
 use qtda_linalg::eigen::SymEigen;
 use qtda_linalg::gershgorin::max_eigenvalue_bound;
-use qtda_linalg::lanczos::{block_lanczos_ritz_values, lanczos_ritz_values, RITZ_BLOCK};
+use qtda_linalg::lanczos::lanczos_ritz_values;
 use qtda_linalg::sparse::CsrMatrix;
 use qtda_linalg::Mat;
 use qtda_qsim::measure::sample_zero_count;
@@ -96,16 +96,7 @@ impl PaddedSpectrum {
             PaddingScheme::Zeros => (0.0, target - d),
         };
 
-        // Large decompositions run block Lanczos: RITZ_BLOCK Ritz
-        // directions advance per pass over the CSR arena and the stored
-        // basis, cutting memory traffic ~K-fold. Routing is by size
-        // only, so a given Laplacian always takes the same (individually
-        // deterministic) route.
-        let mut eigs = if d >= crate::pipeline::BLOCK_LANCZOS_MIN {
-            block_lanczos_ritz_values(laplacian, d, seed, RITZ_BLOCK)
-        } else {
-            lanczos_ritz_values(laplacian, d, seed)
-        };
+        let mut eigs = lanczos_ritz_values(laplacian, d, seed);
         snap_kernel_dust(&mut eigs);
         eigs.extend(std::iter::repeat_n(fill, target - d));
         let phases = eigs.into_iter().map(|l| eigenvalue_to_phase(l * scale)).collect();

@@ -81,30 +81,24 @@ fn determinism_same_seed_across_1_2_and_8_workers() {
     }
 }
 
-/// A job big enough that its Δ_1 crosses `BLOCK_LANCZOS_MIN`, so the
-/// engine's sparse units run the *block* Lanczos kernels (multi-vector
-/// matvec over the shared arena) — the serving contract must hold on
-/// that route too, and each slice must still replay through the
-/// one-shot pipeline bit for bit.
+/// A job big enough that its Δ_1 has at least 128 rows, the serving
+/// sizes where the sparse decomposition dominates a job — the serving
+/// contract must hold on those long Lanczos runs too, and each slice
+/// must still replay through the one-shot pipeline bit for bit.
 #[test]
-fn block_lanczos_route_is_deterministic_across_worker_counts() {
+fn large_sparse_route_is_deterministic_across_worker_counts() {
     let mut rng = StdRng::seed_from_u64(41);
     let cloud = synthetic::circle(24, 1.0, 0.02, &mut rng);
     let epsilon = 1.66;
-    // Sanity: the ε-slice's edge count must actually reach the block
-    // routing threshold, or this test silently degrades to the plain
-    // Lanczos path.
+    // Sanity: the ε-slice must really be that large, or this test
+    // silently degrades to short recurrences.
     let arena = qtda_tda::laplacian_filtration::LaplacianFiltration::rips(
         &cloud,
         epsilon,
         2,
         Metric::Euclidean,
     );
-    assert!(
-        arena.count_at(1, epsilon) >= qtda_core::pipeline::BLOCK_LANCZOS_MIN,
-        "|S_1| = {} below BLOCK_LANCZOS_MIN",
-        arena.count_at(1, epsilon)
-    );
+    assert!(arena.count_at(1, epsilon) >= 128, "|S_1| = {}", arena.count_at(1, epsilon));
     let mut job = BettiJob::new(cloud, vec![1.2, epsilon]);
     job.sparse_threshold = 8; // force the sparse route at both scales
     job.estimator =
@@ -144,7 +138,7 @@ fn block_lanczos_route_is_deterministic_across_worker_counts() {
             assert_estimates_identical(
                 engine_est,
                 pipeline_est,
-                &format!("block-path replay at ε = {}", slice.epsilon),
+                &format!("large-job replay at ε = {}", slice.epsilon),
             );
         }
     }

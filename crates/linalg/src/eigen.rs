@@ -86,145 +86,6 @@ impl SymEigen {
     }
 }
 
-/// Reduces a symmetric matrix to tridiagonal form by Householder
-/// reflections (EISPACK `tred1`, eigenvalues-only variant): returns
-/// `(diag, off)` with `off.len() == n − 1`, similar to the input so the
-/// tridiagonal QL solver recovers its exact spectrum. This is the
-/// `O(n³)`-with-tiny-constant bridge that lets block Lanczos hand its
-/// (dense but numerically block-tridiagonal) projected matrix to
-/// `lanczos::tridiagonal_eigenvalues` instead of paying a full Jacobi
-/// decomposition.
-// Index-form loops mirror the EISPACK reference (rows `i`, `j`, `k` of
-// the same working array interleave); iterator rewrites would obscure
-// the port without changing the generated code.
-#[allow(clippy::needless_range_loop)]
-pub fn householder_tridiagonal(m: &Mat) -> (Vec<f64>, Vec<f64>) {
-    assert!(m.is_square(), "tridiagonalisation requires a square matrix");
-    let n = m.rows();
-    assert!(n > 0, "empty matrix");
-    let mut a: Vec<Vec<f64>> = (0..n).map(|i| m.row(i).to_vec()).collect();
-    let mut e = vec![0.0f64; n];
-    for i in (1..n).rev() {
-        let l = i - 1;
-        if l == 0 {
-            e[i] = a[i][0];
-            continue;
-        }
-        let scale: f64 = a[i][..=l].iter().map(|x| x.abs()).sum();
-        if scale == 0.0 {
-            e[i] = a[i][l];
-            continue;
-        }
-        // Householder vector u lives in the scaled row i (columns 0..=l).
-        let mut h = 0.0;
-        for k in 0..=l {
-            a[i][k] /= scale;
-            h += a[i][k] * a[i][k];
-        }
-        let f = a[i][l];
-        let g = if f >= 0.0 { -h.sqrt() } else { h.sqrt() };
-        e[i] = scale * g;
-        h -= f * g;
-        a[i][l] = f - g;
-        // p = A·u / h, then the rank-two update A ← A − u·qᵀ − q·uᵀ with
-        // q = p − (uᵀp / 2h)·u, applied to the leading (l+1)² block.
-        let mut f_acc = 0.0;
-        for j in 0..=l {
-            let mut g = 0.0;
-            for k in 0..=j {
-                g += a[j][k] * a[i][k];
-            }
-            for k in j + 1..=l {
-                g += a[k][j] * a[i][k];
-            }
-            e[j] = g / h;
-            f_acc += e[j] * a[i][j];
-        }
-        let hh = f_acc / (h + h);
-        for j in 0..=l {
-            let fj = a[i][j];
-            let gj = e[j] - hh * fj;
-            e[j] = gj;
-            for k in 0..=j {
-                a[j][k] -= fj * e[k] + gj * a[i][k];
-            }
-        }
-    }
-    let diag: Vec<f64> = (0..n).map(|i| a[i][i]).collect();
-    (diag, e[1..].to_vec())
-}
-
-/// Reduces a symmetric *band* matrix (semibandwidth `w`: entries with
-/// `|i − j| > w` are treated as zero) to tridiagonal form with Givens
-/// rotations and bulge chasing (Schwarz / LAPACK `dsbtrd` scheme).
-/// Costs `O(n²·w)` instead of Householder's `O(n³)`, which is the whole
-/// point: block Lanczos produces a projected matrix whose significant
-/// entries live within semibandwidth `2b − 1`, so handing it here keeps
-/// the reduction proportional to the block size rather than cubic.
-/// Entries outside the declared band are ignored (dropped), so callers
-/// must pick `w` large enough to cover everything above roundoff.
-pub fn band_tridiagonal(m: &Mat, w: usize) -> (Vec<f64>, Vec<f64>) {
-    assert!(m.is_square(), "tridiagonalisation requires a square matrix");
-    let n = m.rows();
-    assert!(n > 0, "empty matrix");
-    if w >= n {
-        return householder_tridiagonal(m);
-    }
-    if w <= 1 {
-        let diag = (0..n).map(|i| m[(i, i)]).collect();
-        let off = (0..n - 1).map(|i| m[(i + 1, i)]).collect();
-        return (diag, off);
-    }
-    let mut a = m.clone();
-    for j in 0..n.saturating_sub(2) {
-        let hi = (j + w).min(n - 1);
-        // Annihilate column j's below-subdiagonal band entries bottom-up;
-        // each rotation kicks a bulge one semibandwidth down the
-        // diagonal, which the inner loop chases off the matrix.
-        for i in ((j + 2)..=hi).rev() {
-            let mut p = i;
-            let mut col = j;
-            loop {
-                let y = a[(p, col)];
-                if y == 0.0 {
-                    break;
-                }
-                let x = a[(p - 1, col)];
-                let r = x.hypot(y);
-                let (c, s) = (x / r, y / r);
-                // The rotated pair's nonzeros live in the band window
-                // around rows p−1, p plus the one-off bulge, so the
-                // similarity transform only needs to touch that window.
-                let lo_k = p.saturating_sub(w + 2);
-                let hi_k = (p + w + 2).min(n - 1);
-                for k in lo_k..=hi_k {
-                    let u = a[(p - 1, k)];
-                    let v = a[(p, k)];
-                    a[(p - 1, k)] = c * u + s * v;
-                    a[(p, k)] = -s * u + c * v;
-                }
-                for k in lo_k..=hi_k {
-                    let u = a[(k, p - 1)];
-                    let v = a[(k, p)];
-                    a[(k, p - 1)] = c * u + s * v;
-                    a[(k, p)] = -s * u + c * v;
-                }
-                a[(p, col)] = 0.0;
-                a[(col, p)] = 0.0;
-                let q = p + w;
-                if q >= n {
-                    break;
-                }
-                col = p - 1;
-                p = q;
-            }
-        }
-    }
-    let diag = (0..n).map(|i| a[(i, i)]).collect();
-    let off = (0..n - 1).map(|i| a[(i + 1, i)]).collect();
-    (diag, off)
-}
-
 /// Frobenius norm of the strictly upper triangle.
 fn off_diagonal_norm(m: &Mat) -> f64 {
     let n = m.rows();
@@ -377,96 +238,6 @@ mod tests {
         let a = Mat::from_rows(&[vec![7.5]]);
         let e = SymEigen::decompose(&a);
         assert_eq!(e.values, vec![7.5]);
-    }
-
-    #[test]
-    fn householder_tridiagonal_preserves_spectrum() {
-        use crate::lanczos::tridiagonal_eigenvalues;
-        for (n, seed) in [(1usize, 7u64), (2, 11), (5, 13), (24, 17), (64, 19)] {
-            let mut s = seed;
-            let mut next = move || {
-                s ^= s << 13;
-                s ^= s >> 7;
-                s ^= s << 17;
-                (s >> 11) as f64 / (1u64 << 53) as f64 - 0.5
-            };
-            let raw = Mat::from_fn(n, n, |_, _| next());
-            let a = raw.add(&raw.transpose()).scale(0.5);
-            let (diag, off) = householder_tridiagonal(&a);
-            assert_eq!(diag.len(), n);
-            assert_eq!(off.len(), n - 1);
-            let got = tridiagonal_eigenvalues(&diag, &off);
-            let expect = SymEigen::eigenvalues(&a);
-            for (x, y) in got.iter().zip(&expect) {
-                assert!((x - y).abs() < 1e-8, "n = {n}: {got:?} vs {expect:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn householder_tridiagonal_on_already_tridiagonal_input() {
-        // Zero scale rows (nothing left of the subdiagonal) take the
-        // early-out path; the spectrum must still come through exactly.
-        let a = Mat::from_rows(&[
-            vec![2.0, -1.0, 0.0, 0.0],
-            vec![-1.0, 2.0, -1.0, 0.0],
-            vec![0.0, -1.0, 2.0, -1.0],
-            vec![0.0, 0.0, -1.0, 2.0],
-        ]);
-        let (diag, off) = householder_tridiagonal(&a);
-        let got = crate::lanczos::tridiagonal_eigenvalues(&diag, &off);
-        let expect = SymEigen::eigenvalues(&a);
-        for (x, y) in got.iter().zip(&expect) {
-            assert!((x - y).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn band_tridiagonal_matches_householder_on_random_band_matrices() {
-        use crate::lanczos::tridiagonal_eigenvalues;
-        for (n, w, seed) in
-            [(6usize, 2usize, 3u64), (24, 3, 5), (40, 5, 7), (64, 15, 9), (64, 2, 11), (33, 7, 13)]
-        {
-            let mut s = seed;
-            let mut next = move || {
-                s ^= s << 13;
-                s ^= s >> 7;
-                s ^= s << 17;
-                (s >> 11) as f64 / (1u64 << 53) as f64 - 0.5
-            };
-            let a = {
-                let raw = Mat::from_fn(n, n, |i, j| if i.abs_diff(j) <= w { next() } else { 0.0 });
-                raw.add(&raw.transpose()).scale(0.5)
-            };
-            let (diag, off) = band_tridiagonal(&a, w);
-            assert_eq!(diag.len(), n);
-            assert_eq!(off.len(), n - 1);
-            let got = tridiagonal_eigenvalues(&diag, &off);
-            let expect = SymEigen::eigenvalues(&a);
-            for (x, y) in got.iter().zip(&expect) {
-                assert!((x - y).abs() < 1e-8, "n = {n}, w = {w}: {got:?} vs {expect:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn band_tridiagonal_degenerate_widths() {
-        use crate::lanczos::tridiagonal_eigenvalues;
-        // w ≥ n delegates to Householder; w ≤ 1 is extraction only.
-        let a = Mat::from_rows(&[
-            vec![2.0, -1.0, 0.0, 0.0],
-            vec![-1.0, 2.0, -1.0, 0.0],
-            vec![0.0, -1.0, 2.0, -1.0],
-            vec![0.0, 0.0, -1.0, 2.0],
-        ]);
-        let expect = SymEigen::eigenvalues(&a);
-        for w in [0usize, 1, 3, 4, 9] {
-            let (diag, off) = band_tridiagonal(&a, w);
-            let got = tridiagonal_eigenvalues(&diag, &off);
-            for (x, y) in got.iter().zip(&expect) {
-                assert!((x - y).abs() < 1e-10, "w = {w}");
-            }
-        }
     }
 
     #[test]

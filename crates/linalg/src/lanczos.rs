@@ -6,16 +6,35 @@
 //! written against the [`LaplacianOp`] abstraction and works for any
 //! representation (CSR in practice; dense for cross-checks). With full
 //! reorthogonalisation and a complete run (`m = n`) it reproduces the
-//! exact spectrum (used by `qtda-core`'s `LanczosBackend`); with
-//! `m ≪ n` it delivers the extremal Ritz values.
+//! exact spectrum (used by `qtda-core`'s `PaddedSpectrum` and
+//! `LanczosBackend`); with `m ≪ n` it delivers the extremal Ritz values
+//! and the Gaussian quadrature rule behind stochastic Lanczos
+//! quadrature. Both read the same recurrence.
 
 use crate::op::LaplacianOp;
 use crate::profile;
 
-/// Eigenvalues of a symmetric tridiagonal matrix by the implicit-shift
-/// QL algorithm (EISPACK `tql1`). `diag` is the diagonal, `off` the
-/// subdiagonal (`off.len() == diag.len() − 1`). Ascending order.
+/// Eigenvalues of a symmetric tridiagonal matrix, ascending: the nodes
+/// of [`tridiagonal_quadrature`] (implicit-shift QL). `diag` is the
+/// diagonal, `off` the subdiagonal (`off.len() == diag.len() − 1`).
 pub fn tridiagonal_eigenvalues(diag: &[f64], off: &[f64]) -> Vec<f64> {
+    tridiagonal_quadrature(diag, off).into_iter().map(|(node, _)| node).collect()
+}
+
+/// Eigenvalues of a symmetric tridiagonal matrix *with* the squared
+/// first components of their eigenvectors — the Gaussian quadrature
+/// rule of the tridiagonal's spectral measure seen from `e₁` (the
+/// implicit-shift QL of EISPACK `tql2`, restricted to the one
+/// eigenvector row that matters). Returns `(node θ_j, weight τ_j²)`
+/// pairs, nodes ascending; the weights are non-negative and sum to 1
+/// (the rotations are orthogonal and the tracked row starts as the unit
+/// vector `e₁`).
+///
+/// For a Lanczos tridiagonal T = QᵀAQ started at unit vector `v`, the
+/// rule integrates `vᵀf(A)v ≈ Σ_j τ_j²·f(θ_j)` exactly for polynomials
+/// of degree ≤ 2m−1 — the classical stochastic-Lanczos-quadrature
+/// identity that makes truncated spectral sums accurate at m ≪ n.
+pub fn tridiagonal_quadrature(diag: &[f64], off: &[f64]) -> Vec<(f64, f64)> {
     let n = diag.len();
     assert!(n > 0, "empty matrix");
     assert_eq!(off.len() + 1, n, "off-diagonal length must be n − 1");
@@ -23,6 +42,9 @@ pub fn tridiagonal_eigenvalues(diag: &[f64], off: &[f64]) -> Vec<f64> {
     // e is padded to length n with a trailing zero (classic tql layout).
     let mut e: Vec<f64> = off.to_vec();
     e.push(0.0);
+    // First row of the accumulated eigenvector matrix, starting at e₁.
+    let mut z = vec![0.0f64; n];
+    z[0] = 1.0;
 
     for l in 0..n {
         let mut iter = 0;
@@ -44,102 +66,32 @@ pub fn tridiagonal_eigenvalues(diag: &[f64], off: &[f64]) -> Vec<f64> {
 
             // Form the implicit shift.
             let mut g = (d[l + 1] - d[l]) / (2.0 * e[l]);
-            let mut r = g.hypot(1.0);
-            g = d[m] - d[l] + e[l] / (g + r.copysign(g));
+            let radius = g.hypot(1.0);
+            g = d[m] - d[l] + e[l] / (g + radius.copysign(g));
             let (mut s, mut c) = (1.0f64, 1.0f64);
             let mut p = 0.0f64;
+            // A rotation whose radius underflows to zero splits the
+            // matrix: the sweep stops and restarts on the shorter block
+            // without the closing update (Numerical Recipes'
+            // `r == 0 && i >= l`). Only that early stop may skip it — a
+            // completed sweep whose last product happens to be zero
+            // must still close.
+            let mut split = false;
             for i in (l..m).rev() {
                 let f = s * e[i];
                 let b = c * e[i];
-                r = f.hypot(g);
+                let r = f.hypot(g);
                 e[i + 1] = r;
                 if r == 0.0 {
                     d[i + 1] -= p;
                     e[m] = 0.0;
+                    split = true;
                     break;
                 }
                 s = f / r;
                 c = g / r;
                 let shifted = d[i + 1] - p;
-                r = (d[i] - shifted) * s + 2.0 * c * b;
-                p = s * r;
-                d[i + 1] = shifted + p;
-                g = c * r - b;
-            }
-            if r == 0.0 && m > l + 1 {
-                continue;
-            }
-            d[l] -= p;
-            e[l] = g;
-            e[m] = 0.0;
-        }
-    }
-    d.sort_by(|a, b| a.partial_cmp(b).expect("NaN eigenvalue"));
-    d
-}
-
-/// Eigenvalues of a symmetric tridiagonal matrix *with* the squared
-/// first components of their eigenvectors — the Gaussian quadrature
-/// rule of the tridiagonal's spectral measure seen from `e₁` (EISPACK
-/// `tql2` restricted to the one eigenvector row that matters). Returns
-/// `(node θ_j, weight τ_j²)` pairs, nodes ascending; the weights are
-/// non-negative and sum to 1 (the rotations are orthogonal and the
-/// tracked row starts as the unit vector `e₁`).
-///
-/// For a Lanczos tridiagonal T = QᵀAQ started at unit vector `v`, the
-/// rule integrates `vᵀf(A)v ≈ Σ_j τ_j²·f(θ_j)` exactly for polynomials
-/// of degree ≤ 2m−1 — the classical stochastic-Lanczos-quadrature
-/// identity that makes truncated spectral sums accurate at m ≪ n.
-/// The node update arithmetic is identical to
-/// [`tridiagonal_eigenvalues`], so the returned nodes are bit-identical
-/// to that routine's output on the same input.
-pub fn tridiagonal_quadrature(diag: &[f64], off: &[f64]) -> Vec<(f64, f64)> {
-    let n = diag.len();
-    assert!(n > 0, "empty matrix");
-    assert_eq!(off.len() + 1, n, "off-diagonal length must be n − 1");
-    let mut d = diag.to_vec();
-    let mut e: Vec<f64> = off.to_vec();
-    e.push(0.0);
-    // First row of the accumulated eigenvector matrix, starting at e₁.
-    let mut z = vec![0.0f64; n];
-    z[0] = 1.0;
-
-    for l in 0..n {
-        let mut iter = 0;
-        loop {
-            let mut m = l;
-            while m + 1 < n {
-                let dd = d[m].abs() + d[m + 1].abs();
-                if e[m].abs() <= f64::EPSILON * dd {
-                    break;
-                }
-                m += 1;
-            }
-            if m == l {
-                break;
-            }
-            iter += 1;
-            assert!(iter <= 50, "tridiagonal QL failed to converge");
-
-            let mut g = (d[l + 1] - d[l]) / (2.0 * e[l]);
-            let mut r = g.hypot(1.0);
-            g = d[m] - d[l] + e[l] / (g + r.copysign(g));
-            let (mut s, mut c) = (1.0f64, 1.0f64);
-            let mut p = 0.0f64;
-            for i in (l..m).rev() {
-                let f = s * e[i];
-                let b = c * e[i];
-                r = f.hypot(g);
-                e[i + 1] = r;
-                if r == 0.0 {
-                    d[i + 1] -= p;
-                    e[m] = 0.0;
-                    break;
-                }
-                s = f / r;
-                c = g / r;
-                let shifted = d[i + 1] - p;
-                r = (d[i] - shifted) * s + 2.0 * c * b;
+                let r = (d[i] - shifted) * s + 2.0 * c * b;
                 p = s * r;
                 d[i + 1] = shifted + p;
                 g = c * r - b;
@@ -149,7 +101,7 @@ pub fn tridiagonal_quadrature(diag: &[f64], off: &[f64]) -> Vec<(f64, f64)> {
                 z[i + 1] = s * z[i] + c * zf;
                 z[i] = c * z[i] - s * zf;
             }
-            if r == 0.0 && m > l + 1 {
+            if split {
                 continue;
             }
             d[l] -= p;
@@ -159,8 +111,7 @@ pub fn tridiagonal_quadrature(diag: &[f64], off: &[f64]) -> Vec<(f64, f64)> {
     }
     let mut pairs: Vec<(f64, f64)> =
         d.into_iter().zip(z).map(|(node, zi)| (node, zi * zi)).collect();
-    // Stable sort by node: the same ordering pass as
-    // `tridiagonal_eigenvalues`, weights riding along.
+    // Stable sort by node, weights riding along.
     pairs.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("NaN eigenvalue"));
     pairs
 }
@@ -176,15 +127,9 @@ fn xorshift(seed: u64) -> impl FnMut() -> f64 {
     }
 }
 
-/// Runs `m` Lanczos iterations with full (twice-repeated)
-/// reorthogonalisation and returns the Ritz values. With `m = n` on a
-/// well-conditioned symmetric matrix this is the exact spectrum.
-/// Deterministic given `seed`.
-///
-/// The hot loop is allocation-free: the matvec lands in a reused
-/// scratch buffer via [`LaplacianOp::matvec_into`] and the scratch is
-/// recycled into the basis column it becomes — the only per-iteration
-/// allocation left is the stored basis vector itself.
+/// Runs `m` Lanczos iterations with full reorthogonalisation and
+/// returns the Ritz values. With `m = n` this is the exact spectrum.
+/// Deterministic given `seed`, bit-identical at any worker count.
 pub fn lanczos_ritz_values<A: LaplacianOp + ?Sized>(a: &A, m: usize, seed: u64) -> Vec<f64> {
     let (alphas, betas) = lanczos_tridiagonal(a, m, seed);
     if alphas.is_empty() {
@@ -200,8 +145,7 @@ pub fn lanczos_ritz_values<A: LaplacianOp + ?Sized>(a: &A, m: usize, seed: u64) 
 /// `f` of degree ≤ 2m−1 — the estimate a truncated run should average,
 /// rather than treating m Ritz values as if they were the whole
 /// spectrum. Nodes are bit-identical to [`lanczos_ritz_values`] under
-/// the same `(a, m, seed)` (identical recurrence, identical QL node
-/// arithmetic).
+/// the same `(a, m, seed)` (one recurrence, one QL body).
 ///
 /// An invariant-subspace restart (β = 0) splits the tridiagonal into
 /// blocks the rotations never mix, so restarted blocks get zero weight:
@@ -218,11 +162,20 @@ pub fn lanczos_quadrature<A: LaplacianOp + ?Sized>(a: &A, m: usize, seed: u64) -
 /// The Lanczos three-term recurrence with full reorthogonalisation:
 /// up to `m` iterations from the seeded random start vector, returning
 /// the tridiagonal coefficients `(α, β)` (`β.len() ≥ α.len() − 1`; the
-/// eigen-consumers slice to exactly that). One body shared verbatim by
-/// [`lanczos_ritz_values`] and [`lanczos_quadrature`], so both see
-/// bit-identical coefficients — and the float-op sequence is exactly
-/// the pre-extraction one, pinned by the block-Lanczos `block = 1`
-/// bit-identity test.
+/// eigen-consumers slice to exactly that). The one body behind
+/// [`lanczos_ritz_values`] and [`lanczos_quadrature`].
+///
+/// * The basis lives in one preallocated column-major `n × m` slab, so
+///   no step allocates.
+/// * Each residual is reorthogonalised against the whole basis by
+///   classical Gram–Schmidt ([`gram_schmidt`]) under the Kahan–Parlett
+///   "twice is enough" test: a second pass runs only when the first
+///   removed more than half of `‖w‖²`, the cancellation that can leave
+///   one pass short of working precision. A restart direction is always
+///   orthogonalised twice.
+/// * Every inner product takes the fixed-order [`dot`], and the matvec
+///   sums its rows in a fixed order, so the coefficients are
+///   bit-identical at any worker count.
 fn lanczos_tridiagonal<A: LaplacianOp + ?Sized>(
     a: &A,
     m: usize,
@@ -235,286 +188,130 @@ fn lanczos_tridiagonal<A: LaplacianOp + ?Sized>(
     let m = m.clamp(1, n);
     let mut next = xorshift(seed);
 
-    let mut basis: Vec<Vec<f64>> = Vec::with_capacity(m);
+    // Basis column j is `basis[j·n..(j + 1)·n]`.
+    let mut basis = vec![0.0f64; n * m];
     let mut alphas: Vec<f64> = Vec::with_capacity(m);
-    let mut betas: Vec<f64> = Vec::new();
-
-    let mut v: Vec<f64> = (0..n).map(|_| next()).collect();
-    normalise(&mut v);
-    basis.push(v);
-
-    profile::record(|p| p.block_width = p.block_width.max(1));
-    // The matvec target / residual scratch, reused across iterations.
+    let mut betas: Vec<f64> = Vec::with_capacity(m);
+    // The Gram–Schmidt coefficients and the matvec / residual scratch.
+    let mut h = vec![0.0f64; m];
     let mut w = vec![0.0f64; n];
+
+    basis[..n].fill_with(&mut next);
+    normalise(&mut basis[..n]);
+
     for j in 0..m {
-        a.matvec_into(&basis[j], &mut w);
+        let (done, rest) = basis.split_at_mut((j + 1) * n);
+        let v = &done[j * n..];
+        a.matvec_into(v, &mut w);
         profile::record(|p| {
             p.matvecs += 1;
             p.lanczos_iterations += 1;
         });
-        let alpha = dot(&w, &basis[j]);
+        let alpha = dot(&w, v);
         alphas.push(alpha);
         if j + 1 == m {
             break;
         }
-        for (wi, vi) in w.iter_mut().zip(&basis[j]) {
-            *wi -= alpha * vi;
-        }
+        axpy(-alpha, v, &mut w);
         if let Some(prev) = j.checked_sub(1) {
-            let beta_prev = betas[prev];
-            for (wi, vi) in w.iter_mut().zip(&basis[prev]) {
-                *wi -= beta_prev * vi;
-            }
+            axpy(-betas[prev], &done[prev * n..j * n], &mut w);
         }
-        // Full reorthogonalisation, applied twice (Kahan's "twice is
-        // enough" rule) to hold orthogonality at machine precision.
-        for _ in 0..2 {
-            for b in &basis {
-                let proj = dot(&w, b);
-                for (wi, bi) in w.iter_mut().zip(b) {
-                    *wi -= proj * bi;
-                }
-            }
+        let before = dot(&w, &w);
+        let mut norm2 = gram_schmidt(done, &mut w, &mut h);
+        if norm2 < 0.5 * before {
+            norm2 = gram_schmidt(done, &mut w, &mut h);
         }
-        let beta = dot(&w, &w).sqrt();
+        let mut beta = norm2.sqrt();
         if beta < 1e-12 {
             // Invariant subspace exhausted: restart with a fresh random
             // direction orthogonal to the basis.
             profile::record(|p| p.restarts += 1);
-            for f in &mut w {
-                *f = next();
-            }
-            for b in &basis {
-                let proj = dot(&w, b);
-                for (fi, bi) in w.iter_mut().zip(b) {
-                    *fi -= proj * bi;
-                }
-            }
-            let norm = dot(&w, &w).sqrt();
-            if norm < 1e-12 {
+            w.fill_with(&mut next);
+            gram_schmidt(done, &mut w, &mut h);
+            beta = gram_schmidt(done, &mut w, &mut h).sqrt();
+            if beta < 1e-12 {
                 break; // true dimension exhausted
-            }
-            for f in &mut w {
-                *f /= norm;
             }
             betas.push(0.0);
         } else {
             betas.push(beta);
-            for wi in &mut w {
-                *wi /= beta;
-            }
         }
-        // The scratch becomes the next basis column; a fresh scratch
-        // takes its place for the next matvec.
-        basis.push(std::mem::replace(&mut w, vec![0.0; n]));
+        for (slot, wi) in rest[..n].iter_mut().zip(&w) {
+            *slot = wi / beta;
+        }
     }
 
     (alphas, betas)
 }
 
-/// Default number of Ritz directions advanced per pass by
-/// [`block_lanczos_ritz_values`]. Eight right-hand sides keep the
-/// working set (block + one basis column) inside L2 for the complex
-/// sizes the sparse path serves while amortising every basis-column and
-/// arena load eight ways.
-pub const RITZ_BLOCK: usize = 8;
-
-/// Block Lanczos: advances `block` Ritz directions per pass over the
-/// operator and the stored basis, returning Ritz values like
-/// [`lanczos_ritz_values`] (exact spectrum for `m = n`). Deterministic
-/// given `seed`; results agree with the single-vector recurrence to
-/// solver precision but are not bit-identical to it.
-///
-/// Per pass, one [`LaplacianOp::matvec_block`] streams the matrix once
-/// for the whole block, and the full reorthogonalisation streams each
-/// stored basis column once against all `block` residuals — the two
-/// memory-bound loops that dominate a full-spectrum run each touch
-/// their operand `block`× less often. The projected matrix `T = QᵀAQ`
-/// is numerically block-tridiagonal (semibandwidth `2·block − 1` up to
-/// roundoff), so it goes through the `O(m²·w)` Givens band reduction
-/// ([`crate::eigen::band_tridiagonal`]) to the same tridiagonal QL
-/// solver the single-vector path uses; restarts that densify `T` fall
-/// back to [`crate::eigen::householder_tridiagonal`].
-///
-/// Rank-deficient residual blocks (invariant subspaces — degenerate
-/// Laplacian kernels hit this) are refilled with fresh seeded
-/// directions orthogonal to everything so far, mirroring the
-/// single-vector restart rule.
-pub fn block_lanczos_ritz_values<A: LaplacianOp + ?Sized>(
-    a: &A,
-    m: usize,
-    seed: u64,
-    block: usize,
-) -> Vec<f64> {
-    let n = a.dim();
-    if n == 0 {
-        return Vec::new();
+/// One classical Gram–Schmidt pass of `w` against the column-major
+/// basis columns in `basis` (each `w.len()` long): `h = Vᵀw`, then
+/// `w −= V·h`. Returns `‖w‖²` after the pass. Columns go two at a time,
+/// so each sweep over `w` serves two columns; every inner product and
+/// every update keeps the bits of its one-column form.
+fn gram_schmidt(basis: &[f64], w: &mut [f64], h: &mut [f64]) -> f64 {
+    let n = w.len();
+    let k = basis.len() / n;
+    let column = |i: usize| &basis[i * n..(i + 1) * n];
+    for i in (0..k - 1).step_by(2) {
+        [h[i], h[i + 1]] = dots([column(i), column(i + 1)], w);
     }
-    let m = m.clamp(1, n);
-    let b = block.clamp(1, m);
-    if b == 1 {
-        // A one-wide block is the plain recurrence; skip the dense
-        // projection machinery.
-        return lanczos_ritz_values(a, m, seed);
+    if k % 2 == 1 {
+        h[k - 1] = dot(column(k - 1), w);
     }
-    let mut next = xorshift(seed);
-
-    let mut basis: Vec<Vec<f64>> = Vec::with_capacity(m);
-    // Upper triangle (i ≤ j) of T = QᵀAQ, recorded from the
-    // reorthogonalisation coefficients as columns are processed.
-    let mut t = crate::Mat::zeros(m, m);
-
-    let mut pending: Vec<Vec<f64>> = Vec::new();
-    for _ in 0..b {
-        if let Some(v) = fresh_direction(n, &mut next, &basis, &pending) {
-            pending.push(v);
-        }
+    for i in (0..k - 1).step_by(2) {
+        axpys([-h[i], -h[i + 1]], [column(i), column(i + 1)], w);
     }
-
-    while !pending.is_empty() && basis.len() < m {
-        let start = basis.len();
-        let take = pending.len().min(m - start);
-        basis.extend(pending.drain(..take));
-        pending.clear();
-
-        // One pass over the operator for the whole block.
-        let ws: Vec<Vec<f64>> = {
-            let refs: Vec<&[f64]> = basis[start..].iter().map(|v| v.as_slice()).collect();
-            a.matvec_block(&refs)
-        };
-        profile::record(|p| {
-            p.matvecs += take as u64;
-            p.lanczos_iterations += take as u64;
-            p.block_width = p.block_width.max(b as u64);
-        });
-
-        // Orthogonalise every w against the full basis (twice), folding
-        // the Galerkin coefficients into T. Column order is fixed, so
-        // the run is deterministic. Each pass streams a basis column
-        // once for all residuals in the block.
-        let mut residuals = ws;
-        for _pass in 0..2 {
-            for (i, q) in basis.iter().enumerate() {
-                for (jl, w) in residuals.iter_mut().enumerate() {
-                    let j = start + jl;
-                    let proj = dot(w, q);
-                    if i <= j {
-                        // First pass records qᵢ·(A qⱼ); the second adds
-                        // its roundoff-sized correction.
-                        t[(i, j)] += proj;
-                    }
-                    for (wi, qi) in w.iter_mut().zip(q) {
-                        *wi -= proj * qi;
-                    }
-                }
-            }
-        }
-
-        // The next block: orthonormalise the residuals among
-        // themselves, topping up rank-deficient directions from the
-        // seeded stream (invariant-subspace restart).
-        let want = b.min(m - basis.len());
-        for mut w in residuals {
-            if pending.len() == want {
-                break;
-            }
-            for q in &pending {
-                let proj = dot(&w, q);
-                for (wi, qi) in w.iter_mut().zip(q) {
-                    *wi -= proj * qi;
-                }
-            }
-            let norm = dot(&w, &w).sqrt();
-            if norm >= 1e-10 {
-                for wi in &mut w {
-                    *wi /= norm;
-                }
-                pending.push(w);
-            }
-        }
-        while pending.len() < want {
-            match fresh_direction(n, &mut next, &basis, &pending) {
-                Some(v) => {
-                    profile::record(|p| p.restarts += 1);
-                    pending.push(v);
-                }
-                None => break, // true dimension exhausted
-            }
-        }
+    if k % 2 == 1 {
+        axpy(-h[k - 1], column(k - 1), w);
     }
-
-    // Mirror the recorded upper triangle and reduce.
-    let k = basis.len();
-    let mut proj = crate::Mat::zeros(k, k);
-    let mut scale = 0.0f64;
-    for i in 0..k {
-        for j in i..k {
-            proj[(i, j)] = t[(i, j)];
-            proj[(j, i)] = t[(i, j)];
-            scale = scale.max(t[(i, j)].abs());
-        }
-    }
-    // T is block-tridiagonal up to roundoff (and up to invariant-subspace
-    // restarts, which inject dense columns), so measure the *effective*
-    // semibandwidth and reduce in O(k²·w) with Givens bulge chasing.
-    // Entries below the roundoff threshold are dropped by the band
-    // reduction; they perturb eigenvalues by at most ‖E‖_F ≈ k·1e-13·scale,
-    // far inside the estimator's tolerance. A restart that genuinely
-    // densifies T pushes w up and we fall back to Householder.
-    let mut width = 1usize;
-    let tol = scale * 1e-13;
-    for i in 0..k {
-        for j in i + 1..k {
-            if proj[(i, j)].abs() > tol {
-                width = width.max(j - i);
-            }
-        }
-    }
-    let (diag, off) = if width * 4 <= k {
-        crate::eigen::band_tridiagonal(&proj, width)
-    } else {
-        crate::eigen::householder_tridiagonal(&proj)
-    };
-    tridiagonal_eigenvalues(&diag, &off)
+    dot(w, w)
 }
 
-/// A fresh seeded direction orthonormalised (twice) against `basis` and
-/// `pending`; `None` when the space is exhausted.
-fn fresh_direction(
-    n: usize,
-    next: &mut impl FnMut() -> f64,
-    basis: &[Vec<f64>],
-    pending: &[Vec<f64>],
-) -> Option<Vec<f64>> {
-    for _attempt in 0..3 {
-        let mut v: Vec<f64> = (0..n).map(|_| next()).collect();
-        for _ in 0..2 {
-            for q in basis.iter().chain(pending) {
-                let proj = dot(&v, q);
-                for (vi, qi) in v.iter_mut().zip(q) {
-                    *vi -= proj * qi;
-                }
-            }
-        }
-        let norm = dot(&v, &v).sqrt();
-        if norm >= 1e-10 {
-            for vi in &mut v {
-                *vi /= norm;
-            }
-            return Some(v);
+/// `y += s·x`.
+fn axpy(s: f64, x: &[f64], y: &mut [f64]) {
+    axpys([s], [x], y);
+}
+
+/// `y += Σ_l s_l·x_l`, each entry updated column after column: the
+/// bits of `K` successive [`axpy`] calls from one sweep over `y`.
+fn axpys<const K: usize>(s: [f64; K], xs: [&[f64]; K], y: &mut [f64]) {
+    for (r, yr) in y.iter_mut().enumerate() {
+        for (sl, xl) in s.iter().zip(xs) {
+            *yr += sl * xl[r];
         }
     }
-    None
 }
 
-/// Kernel dimension of a symmetric PSD operator via a full Lanczos
-/// run: Ritz values with `|λ| ≤ tol` (exact for `m = n`).
-pub fn kernel_dim_lanczos<A: LaplacianOp + ?Sized>(a: &A, tol: f64, seed: u64) -> usize {
-    lanczos_ritz_values(a, a.dim(), seed).iter().filter(|l| l.abs() <= tol).count()
-}
-
+/// Inner product in a fixed 4-lane order: four partial sums over the
+/// unrolled body plus a scalar tail, combined as `(s₀+s₁)+(s₂+s₃)+tail`
+/// (the order of `sparse.rs`'s row kernel). The independent lanes let
+/// the compiler vectorise; the order depends only on the length.
 fn dot(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
+    dots([a], b)[0]
+}
+
+/// [`dot`] of each of `K` vectors with `y`, from one sweep over `y`.
+fn dots<const K: usize>(xs: [&[f64]; K], y: &[f64]) -> [f64; K] {
+    let body = y.len() - y.len() % 4;
+    let mut lanes = [[0.0f64; 4]; K];
+    for e in (0..body).step_by(4) {
+        let yq: &[f64; 4] = y[e..e + 4].try_into().expect("a four-wide chunk");
+        for (s, x) in lanes.iter_mut().zip(xs) {
+            let xq: &[f64; 4] = x[e..e + 4].try_into().expect("a four-wide chunk");
+            for l in 0..4 {
+                s[l] += xq[l] * yq[l];
+            }
+        }
+    }
+    std::array::from_fn(|i| {
+        let mut tail = 0.0f64;
+        for e in body..y.len() {
+            tail += xs[i][e] * y[e];
+        }
+        let s = lanes[i];
+        (s[0] + s[1]) + (s[2] + s[3]) + tail
+    })
 }
 
 fn normalise(v: &mut [f64]) {
@@ -536,6 +333,20 @@ mod tests {
         for (x, y) in a.iter().zip(b) {
             assert!((x - y).abs() < tol, "{a:?} vs {b:?}");
         }
+    }
+
+    /// The dense symmetric matrix of a tridiagonal `(diag, off)` pair.
+    fn tridiagonal_dense(diag: &[f64], off: &[f64]) -> Mat {
+        Mat::from_fn(diag.len(), diag.len(), |i, j| match i.abs_diff(j) {
+            0 => diag[i],
+            1 => off[i.min(j)],
+            _ => 0.0,
+        })
+    }
+
+    /// Kernel dimension of a full (`m = n`) Lanczos run.
+    fn lanczos_kernel_dim(a: &CsrMatrix, tol: f64, seed: u64) -> usize {
+        lanczos_ritz_values(a, a.n_rows(), seed).iter().filter(|l| l.abs() <= tol).count()
     }
 
     #[test]
@@ -560,6 +371,48 @@ mod tests {
     #[test]
     fn tridiagonal_single_entry() {
         assert_eq!(tridiagonal_eigenvalues(&[5.5], &[]), vec![5.5]);
+    }
+
+    #[test]
+    fn ql_closes_a_completed_sweep_whose_last_product_is_zero() {
+        // The first sweep runs to completion with a final product
+        // (d[0] − shifted)·s + 2·c·b of exactly 0. A solver that takes
+        // that zero for an early split skips the closing update and
+        // returns [−0.9766, 0.8490, 4.1275]: the right trace, the wrong
+        // spectrum.
+        let (diag, off) = ([2.0, 2.0, 0.0], [2.0, -1.0]);
+        let got = tridiagonal_eigenvalues(&diag, &off);
+        let jacobi = SymEigen::eigenvalues(&tridiagonal_dense(&diag, &off));
+        assert_spectra_match(&got, &jacobi, 1e-12);
+        assert_spectra_match(&got, &[-0.7616, 0.6367, 4.1249], 1e-4);
+    }
+
+    #[test]
+    fn ql_matches_jacobi_on_every_small_integer_tridiagonal() {
+        // Every unreduced tridiagonal with n ≤ 5, diagonal entries in
+        // {0, 1, 2, 3} and off-diagonal entries in {−1, 1, 2}.
+        const DIAG: [f64; 4] = [0.0, 1.0, 2.0, 3.0];
+        const OFF: [f64; 3] = [-1.0, 1.0, 2.0];
+        let mut checked = 0;
+        for n in 1..=5usize {
+            for code in 0..DIAG.len().pow(n as u32) * OFF.len().pow(n as u32 - 1) {
+                let mut rest = code;
+                let mut pick = |choices: &[f64]| {
+                    let value = choices[rest % choices.len()];
+                    rest /= choices.len();
+                    value
+                };
+                let diag: Vec<f64> = (0..n).map(|_| pick(&DIAG)).collect();
+                let off: Vec<f64> = (1..n).map(|_| pick(&OFF)).collect();
+                let got = tridiagonal_eigenvalues(&diag, &off);
+                let jacobi = SymEigen::eigenvalues(&tridiagonal_dense(&diag, &off));
+                for (x, y) in got.iter().zip(&jacobi) {
+                    assert!((x - y).abs() < 1e-10, "{diag:?} / {off:?}: {got:?} vs {jacobi:?}");
+                }
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, 4 + 4 * 4 * 3 + 64 * 9 + 256 * 27 + 1024 * 81);
     }
 
     #[test]
@@ -633,19 +486,33 @@ mod tests {
             vec![0.0, 0.0, -1.0, 1.0],
         ]);
         let csr = CsrMatrix::from_dense(&m, 0.0);
-        assert_eq!(kernel_dim_lanczos(&csr, 1e-8, 11), SymEigen::kernel_dim(&m, 1e-8));
+        assert_eq!(lanczos_kernel_dim(&csr, 1e-8, 11), SymEigen::kernel_dim(&m, 1e-8));
     }
 
     #[test]
     fn zero_matrix_full_kernel() {
         let csr = CsrMatrix::from_triplets(5, 5, Vec::<(usize, usize, f64)>::new());
-        assert_eq!(kernel_dim_lanczos(&csr, 1e-10, 1), 5);
+        let ((), profile) = crate::profile::profiled(|| {
+            assert_eq!(lanczos_kernel_dim(&csr, 1e-10, 1), 5);
+        });
+        assert_eq!(profile.restarts, 4, "every step after the first restarts");
     }
 
     #[test]
     fn empty_matrix() {
         let csr = CsrMatrix::from_triplets(0, 0, Vec::<(usize, usize, f64)>::new());
         assert!(lanczos_ritz_values(&csr, 3, 1).is_empty());
+    }
+
+    #[test]
+    fn dot_sums_in_the_fixed_four_lane_order() {
+        let a: Vec<f64> = (0..11).map(|i| 1.0 + i as f64 * 1e-9).collect();
+        let b: Vec<f64> = (0..11).map(|i| (i as f64 * 0.7).sin()).collect();
+        let lane = |k: usize| (k..8).step_by(4).map(|i| a[i] * b[i]).fold(0.0, |s, t| s + t);
+        let tail = (8..11).map(|i| a[i] * b[i]).fold(0.0, |s, t| s + t);
+        let expect = (lane(0) + lane(1)) + (lane(2) + lane(3)) + tail;
+        assert_eq!(dot(&a, &b).to_bits(), expect.to_bits());
+        assert_eq!(dot(&[], &[]), 0.0);
     }
 
     /// A pseudo-random sparse Laplacian-like PSD matrix: `BᵀB` for a
@@ -661,6 +528,16 @@ mod tests {
         let b = Mat::from_fn(n, n, |_, _| if next() > 0.2 { 0.0 } else { next() });
         let psd = b.transpose().matmul(&b);
         CsrMatrix::from_dense(&psd, 1e-15)
+    }
+
+    #[test]
+    fn full_lanczos_matches_jacobi_on_random_psd_matrices() {
+        for (n, seed) in [(6usize, 17u64), (24, 3), (40, 9), (96, 5)] {
+            let csr = random_psd(n, seed);
+            let lanczos = lanczos_ritz_values(&csr, n, 17);
+            let jacobi = SymEigen::eigenvalues(&csr.to_dense());
+            assert_spectra_match(&lanczos, &jacobi, 1e-9);
+        }
     }
 
     #[test]
@@ -756,65 +633,5 @@ mod tests {
         // Empty operator: empty rule.
         let empty = CsrMatrix::from_triplets(0, 0, Vec::<(usize, usize, f64)>::new());
         assert!(lanczos_quadrature(&empty, 3, 1).is_empty());
-    }
-
-    #[test]
-    fn block_lanczos_full_run_matches_plain_lanczos() {
-        for (n, seed) in [(6usize, 17u64), (24, 3), (40, 9)] {
-            let csr = random_psd(n, seed);
-            let plain = lanczos_ritz_values(&csr, n, 17);
-            for block in [2usize, 4, 8] {
-                let blocked = block_lanczos_ritz_values(&csr, n, 17, block);
-                assert_spectra_match(&blocked, &plain, 1e-7);
-            }
-        }
-    }
-
-    #[test]
-    fn block_lanczos_block_one_is_exactly_plain_lanczos() {
-        let csr = random_psd(20, 5);
-        let plain = lanczos_ritz_values(&csr, 20, 7);
-        let blocked = block_lanczos_ritz_values(&csr, 20, 7, 1);
-        assert_eq!(
-            plain.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            blocked.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            "block=1 must take the single-vector path bit-for-bit"
-        );
-    }
-
-    #[test]
-    fn block_lanczos_handles_degenerate_kernel() {
-        // Two disconnected edges → 2-dimensional kernel; the residual
-        // block goes rank-deficient and must be topped up with fresh
-        // directions.
-        let m = Mat::from_rows(&[
-            vec![1.0, -1.0, 0.0, 0.0],
-            vec![-1.0, 1.0, 0.0, 0.0],
-            vec![0.0, 0.0, 1.0, -1.0],
-            vec![0.0, 0.0, -1.0, 1.0],
-        ]);
-        let csr = CsrMatrix::from_dense(&m, 0.0);
-        let blocked = block_lanczos_ritz_values(&csr, 4, 11, 2);
-        let dense = SymEigen::eigenvalues(&m);
-        assert_spectra_match(&blocked, &dense, 1e-9);
-        assert_eq!(blocked.iter().filter(|l| l.abs() <= 1e-8).count(), 2);
-    }
-
-    #[test]
-    fn block_lanczos_zero_and_empty_matrices() {
-        let zero = CsrMatrix::from_triplets(5, 5, Vec::<(usize, usize, f64)>::new());
-        let ritz = block_lanczos_ritz_values(&zero, 5, 1, 4);
-        assert_eq!(ritz.len(), 5);
-        assert!(ritz.iter().all(|l| l.abs() <= 1e-10));
-        let empty = CsrMatrix::from_triplets(0, 0, Vec::<(usize, usize, f64)>::new());
-        assert!(block_lanczos_ritz_values(&empty, 3, 1, 4).is_empty());
-    }
-
-    #[test]
-    fn block_lanczos_oversized_block_is_clamped() {
-        let csr = random_psd(10, 77);
-        let blocked = block_lanczos_ritz_values(&csr, 10, 13, 64);
-        let dense = SymEigen::eigenvalues(&csr.to_dense());
-        assert_spectra_match(&blocked, &dense, 1e-8);
     }
 }

@@ -47,10 +47,7 @@ pub mod sparse;
 pub use cmatrix::CMat;
 pub use complex::C64;
 pub use eigen::SymEigen;
-pub use lanczos::{
-    block_lanczos_ritz_values, lanczos_quadrature, lanczos_ritz_values, tridiagonal_quadrature,
-    RITZ_BLOCK,
-};
+pub use lanczos::{lanczos_quadrature, lanczos_ritz_values, tridiagonal_quadrature};
 pub use matrix::Mat;
 pub use op::LaplacianOp;
 pub use profile::SolveProfile;

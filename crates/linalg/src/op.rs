@@ -35,15 +35,6 @@ pub trait LaplacianOp {
         y.copy_from_slice(&self.matvec(x));
     }
 
-    /// `A·xⱼ` for several right-hand sides in one logical pass. Each
-    /// output must be bit-identical to the corresponding single
-    /// [`LaplacianOp::matvec`]. The default loops over singles;
-    /// [`CsrMatrix`] overrides it with a kernel that streams its arena
-    /// once for all of `xs` (see [`CsrMatrix::matvec_multi`]).
-    fn matvec_block(&self, xs: &[&[f64]]) -> Vec<Vec<f64>> {
-        xs.iter().map(|x| self.matvec(x)).collect()
-    }
-
     /// Gershgorin upper bound on the spectrum (the paper's `λ̃_max`).
     fn gershgorin_max(&self) -> f64;
 
@@ -122,10 +113,6 @@ impl LaplacianOp for CsrMatrix {
 
     fn matvec_into(&self, x: &[f64], y: &mut [f64]) {
         CsrMatrix::matvec_into(self, x, y);
-    }
-
-    fn matvec_block(&self, xs: &[&[f64]]) -> Vec<Vec<f64>> {
-        CsrMatrix::matvec_multi(self, xs)
     }
 
     fn gershgorin_max(&self) -> f64 {

@@ -5,13 +5,12 @@
 //! frame QTDA cost in **Laplacian applications per estimate** — the
 //! quantity the iterative solvers here spend but, until this module,
 //! never surfaced. A [`SolveProfile`] carries those counts: matvecs,
-//! Lanczos iterations, invariant-subspace restarts, and the block
-//! width a run actually took.
+//! Lanczos iterations and invariant-subspace restarts.
 //!
 //! Collection is scoped and thread-local: [`profiled`] installs an
 //! accumulator for the duration of a closure and returns what the
-//! enclosed solver calls ([`lanczos_ritz_values`],
-//! [`block_lanczos_ritz_values`], the power iterations) recorded.
+//! enclosed solver calls ([`lanczos_ritz_values`], the power
+//! iterations) recorded.
 //! Scopes nest — an inner scope's counts also roll up into its outer
 //! scope — and each scope lives on the thread that opened it, which is
 //! exactly the shape of the serving stack's work units (one unit, one
@@ -21,35 +20,27 @@
 //! perturb seeds, ordering, or numeric results.
 //!
 //! [`lanczos_ritz_values`]: crate::lanczos::lanczos_ritz_values
-//! [`block_lanczos_ritz_values`]: crate::lanczos::block_lanczos_ritz_values
 
 use std::cell::RefCell;
 
 /// Iterative-solver cost counters for one profiled scope.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SolveProfile {
-    /// Operator applications (`A·x`; a block application of width `w`
-    /// counts `w`). The paper's headline cost unit.
+    /// Operator applications (`A·x`). The paper's headline cost unit.
     pub matvecs: u64,
-    /// Lanczos basis columns advanced (single-vector iterations, or
-    /// columns taken per block pass).
+    /// Lanczos iterations (basis columns advanced).
     pub lanczos_iterations: u64,
     /// Invariant-subspace restarts: fresh seeded directions injected
-    /// when a residual (block) went rank-deficient.
+    /// when a residual vanished.
     pub restarts: u64,
-    /// Widest Lanczos block the scope ran with (1 = the single-vector
-    /// recurrence, 0 = no Lanczos run at all).
-    pub block_width: u64,
 }
 
 impl SolveProfile {
-    /// Folds another profile into this one: counts add, the block
-    /// width takes the maximum.
+    /// Folds another profile into this one: counts add.
     pub fn merge(&mut self, other: &SolveProfile) {
         self.matvecs += other.matvecs;
         self.lanczos_iterations += other.lanczos_iterations;
         self.restarts += other.restarts;
-        self.block_width = self.block_width.max(other.block_width);
     }
 
     /// Whether nothing was recorded (e.g. a dense-route or cache-hit
@@ -121,26 +112,17 @@ mod tests {
     fn nested_scopes_roll_up() {
         let ((), outer) = profiled(|| {
             record(|p| p.matvecs += 1);
-            let ((), inner) = profiled(|| {
-                record(|p| {
-                    p.matvecs += 10;
-                    p.block_width = p.block_width.max(8);
-                });
-            });
+            let ((), inner) = profiled(|| record(|p| p.matvecs += 10));
             assert_eq!(inner.matvecs, 10);
         });
         assert_eq!(outer.matvecs, 11, "inner counts roll up into the outer scope");
-        assert_eq!(outer.block_width, 8);
     }
 
     #[test]
-    fn merge_adds_counts_and_maxes_width() {
-        let mut a = SolveProfile { matvecs: 2, lanczos_iterations: 1, restarts: 0, block_width: 1 };
-        let b = SolveProfile { matvecs: 3, lanczos_iterations: 4, restarts: 2, block_width: 8 };
+    fn merge_adds_counts() {
+        let mut a = SolveProfile { matvecs: 2, lanczos_iterations: 1, restarts: 0 };
+        let b = SolveProfile { matvecs: 3, lanczos_iterations: 4, restarts: 2 };
         a.merge(&b);
-        assert_eq!(
-            a,
-            SolveProfile { matvecs: 5, lanczos_iterations: 5, restarts: 2, block_width: 8 }
-        );
+        assert_eq!(a, SolveProfile { matvecs: 5, lanczos_iterations: 5, restarts: 2 });
     }
 }

@@ -3,8 +3,7 @@
 //! Combinatorial Laplacians are extremely sparse (row degree bounded by
 //! the simplex adjacency), so large complexes want CSR storage, a
 //! cache-blocked rayon-parallel `matvec` (with the allocation-free
-//! [`CsrMatrix::matvec_into`] and multi-vector
-//! [`CsrMatrix::matvec_multi`] variants for the Lanczos hot loops), and
+//! [`CsrMatrix::matvec_into`] variant for the Lanczos hot loop), and
 //! *iterative* spectral estimates instead of dense factorisations:
 //!
 //! * [`CsrMatrix::lambda_max_power`] — power iteration for λ_max, with a
@@ -16,11 +15,8 @@
 
 use rayon::prelude::*;
 
-/// Row count above which the matvec kernels parallelise. Below it the
+/// Row count above which the matvec kernel parallelises. Below it the
 /// fork/join overhead of even a warm pool exceeds the kernel itself.
-/// Tunable; the dispatch-threshold overview in
-/// `qtda-core::pipeline` (next to `DEFAULT_SPARSE_THRESHOLD`)
-/// documents how it composes with the backend routing.
 pub const PAR_ROWS: usize = 256;
 
 /// Rows per kernel block. The block schedule is **fixed**: rows are
@@ -36,8 +32,7 @@ const ROW_BLOCK: usize = 128;
 /// autovectorises the multiply-adds; the gathers on `x` stay scalar)
 /// plus a scalar tail, combined as `(a₀+a₁)+(a₂+a₃)+tail`. The order
 /// depends only on the row contents — never on threading — which is
-/// what lets `matvec`, `matvec_into` and `matvec_multi` promise
-/// bit-identical outputs.
+/// what lets `matvec` and `matvec_into` promise bit-identical outputs.
 #[inline]
 fn row_kernel(cols: &[u32], vals: &[f64], x: &[f64]) -> f64 {
     let len = vals.len();
@@ -55,121 +50,6 @@ fn row_kernel(cols: &[u32], vals: &[f64], x: &[f64]) -> f64 {
         tail += vals[k] * x[cols[k] as usize];
     }
     (a0 + a1) + (a2 + a3) + tail
-}
-
-/// [`row_kernel`] over all K lanes of a lane-major packed multi-vector
-/// in **one pass over the row**: `packed[c·K + lane]` stands in for
-/// lane's `x[c]`, so each matrix element is loaded once and fans out to
-/// every lane as a broadcast × contiguous-K-slice multiply-add (the
-/// shape the autovectoriser turns into vector FMAs — no gathers at
-/// all). Per lane the accumulator structure and combination order match
-/// [`row_kernel`] exactly (`a₀`–`a₃` quad partials in element order,
-/// combined `(a₀+a₁)+(a₂+a₃)+tail`), so each lane's result is
-/// bit-identical to a single-vector call.
-///
-/// `acc` is `4·K` caller-provided scratch (the quad partials,
-/// lane-major) and `out` receives the K per-lane results.
-#[inline]
-fn row_kernel_multi(cols: &[u32], vals: &[f64], packed: &[f64], acc: &mut [f64], out: &mut [f64]) {
-    let k = out.len();
-    debug_assert_eq!(acc.len(), 4 * k);
-    let len = vals.len();
-    let quads = len / 4;
-    acc.fill(0.0);
-    let (a0, rest) = acc.split_at_mut(k);
-    let (a1, rest) = rest.split_at_mut(k);
-    let (a2, a3) = rest.split_at_mut(k);
-    for q in 0..quads {
-        let e = 4 * q;
-        let p0 = &packed[cols[e] as usize * k..][..k];
-        let v0 = vals[e];
-        for (a, p) in a0.iter_mut().zip(p0) {
-            *a += v0 * p;
-        }
-        let p1 = &packed[cols[e + 1] as usize * k..][..k];
-        let v1 = vals[e + 1];
-        for (a, p) in a1.iter_mut().zip(p1) {
-            *a += v1 * p;
-        }
-        let p2 = &packed[cols[e + 2] as usize * k..][..k];
-        let v2 = vals[e + 2];
-        for (a, p) in a2.iter_mut().zip(p2) {
-            *a += v2 * p;
-        }
-        let p3 = &packed[cols[e + 3] as usize * k..][..k];
-        let v3 = vals[e + 3];
-        for (a, p) in a3.iter_mut().zip(p3) {
-            *a += v3 * p;
-        }
-    }
-    // Tail partial, accumulated in `out` itself.
-    out.fill(0.0);
-    for e in 4 * quads..len {
-        let p = &packed[cols[e] as usize * k..][..k];
-        let v = vals[e];
-        for (t, pv) in out.iter_mut().zip(p) {
-            *t += v * pv;
-        }
-    }
-    for j in 0..k {
-        let tail = out[j];
-        out[j] = (a0[j] + a1[j]) + (a2[j] + a3[j]) + tail;
-    }
-}
-
-/// [`row_kernel_multi`] with the lane count `K` fixed at compile time.
-/// Same arithmetic, same per-lane summation order (bit-identical), but
-/// the `K`-length inner loops become straight-line code over `[f64; K]`
-/// accumulators — the runtime-length version spends more time in loop
-/// setup than in multiply-adds for small `K`, while this compiles to a
-/// broadcast and `K/width` vector FMAs per matrix element.
-#[inline]
-fn row_kernel_multi_fixed<const K: usize>(
-    cols: &[u32],
-    vals: &[f64],
-    packed: &[f64],
-    out: &mut [f64],
-) {
-    let len = vals.len();
-    let quads = len / 4;
-    let mut a0 = [0.0f64; K];
-    let mut a1 = [0.0f64; K];
-    let mut a2 = [0.0f64; K];
-    let mut a3 = [0.0f64; K];
-    for q in 0..quads {
-        let e = 4 * q;
-        let p0: &[f64; K] = packed[cols[e] as usize * K..][..K].try_into().unwrap();
-        let v0 = vals[e];
-        for j in 0..K {
-            a0[j] += v0 * p0[j];
-        }
-        let p1: &[f64; K] = packed[cols[e + 1] as usize * K..][..K].try_into().unwrap();
-        let v1 = vals[e + 1];
-        for j in 0..K {
-            a1[j] += v1 * p1[j];
-        }
-        let p2: &[f64; K] = packed[cols[e + 2] as usize * K..][..K].try_into().unwrap();
-        let v2 = vals[e + 2];
-        for j in 0..K {
-            a2[j] += v2 * p2[j];
-        }
-        let p3: &[f64; K] = packed[cols[e + 3] as usize * K..][..K].try_into().unwrap();
-        let v3 = vals[e + 3];
-        for j in 0..K {
-            a3[j] += v3 * p3[j];
-        }
-    }
-    let mut tail = [0.0f64; K];
-    for e in 4 * quads..len {
-        let p: &[f64; K] = packed[cols[e] as usize * K..][..K].try_into().unwrap();
-        let v = vals[e];
-        for j in 0..K {
-            tail[j] += v * p[j];
-        }
-    }
-    for j in 0..K {
-        out[j] = (a0[j] + a1[j]) + (a2[j] + a3[j]) + tail[j];
-    }
 }
 
 /// A sparse matrix in compressed sparse row form.
@@ -412,79 +292,6 @@ impl CsrMatrix {
             y.par_chunks_mut(ROW_BLOCK).enumerate().for_each(|(b, out)| block(b, out));
         } else {
             for (b, out) in y.chunks_mut(ROW_BLOCK).enumerate() {
-                block(b, out);
-            }
-        }
-    }
-
-    /// Multi-vector product: `ys[j] = A·xs[j]` for K right-hand sides in
-    /// **one pass over the matrix** — each row's indices and values are
-    /// loaded once and reused for every vector, amortising the memory
-    /// traffic that dominates sparse matvec. Each output is bit-identical
-    /// to the corresponding single [`Self::matvec`] call.
-    pub fn matvec_multi(&self, xs: &[&[f64]]) -> Vec<Vec<f64>> {
-        let k = xs.len();
-        let mut flat = vec![0.0; self.n_rows * k];
-        self.matvec_multi_into(xs, &mut flat);
-        (0..k).map(|j| (0..self.n_rows).map(|i| flat[i * k + j]).collect()).collect()
-    }
-
-    /// The multi-vector kernel behind [`Self::matvec_multi`] (one
-    /// lane-major packing pass, then no per-row allocation).
-    ///
-    /// `y` is row-major with stride `xs.len()`:
-    /// `y[i·K + j] = (A·xs[j])[i]`. The right-hand sides are first
-    /// packed lane-major (`packed[c·K + j] = xs[j][c]`) so one cache
-    /// line serves every lane's gather of a column — with K separate
-    /// vectors the gather working set is K× larger and dominates the
-    /// kernel on out-of-cache operators. The flat layout keeps the
-    /// parallel block schedule identical to [`Self::matvec_into`]
-    /// (fixed [`ROW_BLOCK`]-row blocks, each touched by one worker) and
-    /// each lane keeps [`row_kernel`]'s summation order, so the
-    /// determinism contract carries over unchanged.
-    pub fn matvec_multi_into(&self, xs: &[&[f64]], y: &mut [f64]) {
-        let k = xs.len();
-        for x in xs {
-            assert_eq!(x.len(), self.n_cols, "dimension mismatch");
-        }
-        assert_eq!(y.len(), self.n_rows * k, "output dimension mismatch");
-        if k == 0 {
-            return;
-        }
-        let mut packed = vec![0.0f64; self.n_cols * k];
-        // Column-outer packing order: writes stream sequentially through
-        // `packed` (the lane-outer order would touch each cache line K
-        // times, half a kernel's worth of traffic by itself).
-        for (c, line) in packed.chunks_mut(k).enumerate() {
-            for (slot, x) in line.iter_mut().zip(xs) {
-                *slot = x[c];
-            }
-        }
-        let packed = &packed;
-        let block = |b: usize, out: &mut [f64]| {
-            let base = b * ROW_BLOCK;
-            let mut acc = vec![0.0f64; 4 * k];
-            for (r, slots) in out.chunks_mut(k).enumerate() {
-                let i = base + r;
-                let lo = self.row_ptr[i];
-                let hi = self.row_ptr[i + 1];
-                let cols = &self.col_idx[lo..hi];
-                let vals = &self.values[lo..hi];
-                // The powers of two the spectrum route actually uses get
-                // the unrolled fixed-width kernel; anything else takes
-                // the runtime-width fallback (identical bits either way).
-                match k {
-                    2 => row_kernel_multi_fixed::<2>(cols, vals, packed, slots),
-                    4 => row_kernel_multi_fixed::<4>(cols, vals, packed, slots),
-                    8 => row_kernel_multi_fixed::<8>(cols, vals, packed, slots),
-                    _ => row_kernel_multi(cols, vals, packed, &mut acc, slots),
-                }
-            }
-        };
-        if self.n_rows >= PAR_ROWS {
-            y.par_chunks_mut(ROW_BLOCK * k).enumerate().for_each(|(b, out)| block(b, out));
-        } else {
-            for (b, out) in y.chunks_mut(ROW_BLOCK * k).enumerate() {
                 block(b, out);
             }
         }
@@ -764,31 +571,5 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "n = {n}");
             }
         }
-    }
-
-    #[test]
-    fn matvec_multi_is_bit_identical_to_singles() {
-        for n in [5usize, 130, 700] {
-            let csr = ragged_csr(n, 0xACE + n as u64);
-            let xs: Vec<Vec<f64>> = (0..6)
-                .map(|j| (0..n).map(|i| ((i + 13 * j) as f64 * 0.11).cos()).collect())
-                .collect();
-            let refs: Vec<&[f64]> = xs.iter().map(|v| v.as_slice()).collect();
-            let multi = csr.matvec_multi(&refs);
-            for (j, x) in xs.iter().enumerate() {
-                let single = csr.matvec(x);
-                for (a, b) in multi[j].iter().zip(&single) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "n = {n}, rhs {j}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn matvec_multi_zero_vectors() {
-        let csr = ragged_csr(40, 9);
-        assert!(csr.matvec_multi(&[]).is_empty());
-        let mut flat = Vec::new();
-        csr.matvec_multi_into(&[], &mut flat); // no-op, must not panic
     }
 }
