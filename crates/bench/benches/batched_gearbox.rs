@@ -10,8 +10,8 @@
 //! serves 200 *all-distinct* windows, isolating what the amortised
 //! ε-slicing and scheduling buy without any repetition.
 //!
-//! The naive baseline is the pre-engine formulation: one
-//! `estimate_betti_numbers` call per (request, ε), re-running neighbour
+//! The naive baseline is the pre-engine formulation: one single-scale
+//! `BettiRequest::of_cloud` query per (request, ε), re-running neighbour
 //! search + flag expansion every time. It is driven with the engine's
 //! own derived seeds, and the bench asserts the two paths are
 //! **bit-identical** before timing anything — the speedup is for the

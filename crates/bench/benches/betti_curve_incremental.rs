@@ -8,14 +8,14 @@
 //!
 //! * **rebuild**: the pre-PR formulation — share the Rips complexes via
 //!   `rips_slices`, then assemble Δ_k from scratch per `(ε, dim)`
-//!   exactly as `estimate_dimension_dispatched` consumes it: dense gram
+//!   exactly as a complex-source `BettiRequest` consumes it: dense gram
 //!   products below the default sparse threshold, CSR from hash-heavy
 //!   boundary walking plus an O(nnz log nnz) triplet sort at or above
 //!   it;
 //! * **incremental**: build one `LaplacianFiltration` arena at the
 //!   grid's max ε, then serve every `(ε, dim)` as a prefix read
 //!   (densified on the same units the dense route takes, exactly as
-//!   `estimate_dimension_filtered` consumes it).
+//!   a filtration-source `BettiRequest` consumes it).
 //!
 //! A construction-only control isolates the one-off build costs. Run
 //! with `--json [path]` to emit machine-readable results (the checked-in

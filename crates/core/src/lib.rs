@@ -34,9 +34,8 @@
 //!   β_k(ε_i, ε_j) per slice and per-dimension persistence diagrams,
 //!   exact and bit-identical to the classical barcode reduction.
 //! * [`pipeline`] — the routing vocabulary ([`pipeline::DispatchPolicy`],
-//!   [`pipeline::PipelineConfig`]), the multi-scale
-//!   [`pipeline::betti_curve`], and the deprecated pre-`Query` entry
-//!   points kept as bit-identical shims.
+//!   [`pipeline::PipelineConfig`]) and the multi-scale
+//!   [`pipeline::betti_curve`].
 //! * [`analysis`] — absolute errors and boxplot statistics for Fig. 3.
 
 #![deny(missing_docs)]
@@ -59,16 +58,8 @@ pub use backend::{
 };
 pub use estimator::{BettiEstimate, BettiEstimator, EstimatorConfig};
 pub use padding::{pad_laplacian, pad_operator, LambdaMaxBound, PaddedLaplacian, PaddingScheme};
-pub use pipeline::{
-    betti_curve, BackendKind, BettiCurve, DispatchPolicy, PipelineConfig, PipelineResult,
-};
-// The deprecated one-shot entry points stay re-exported for external
-// callers mid-migration (the shims are bit-identical to `Query::run`).
 pub use persist::{PersistenceDiagrams, PersistencePair, SlicePersistence};
-#[allow(deprecated)]
-pub use pipeline::{
-    estimate_betti_numbers, estimate_dimension, estimate_dimension_dispatched, run_for_complex,
-};
+pub use pipeline::{betti_curve, BackendKind, BettiCurve, DispatchPolicy, PipelineConfig};
 pub use query::{
     AbortReason, BettiRequest, CancelToken, Priority, QosPolicy, Query, QueryOutput, QuerySlice,
     QuerySource,

@@ -1,16 +1,11 @@
 //! The end-to-end QTDA pipeline: point cloud → Rips complex →
 //! combinatorial Laplacians → QPE Betti estimates (paper §§2–5).
 //!
-//! As of the request-API redesign, the **one executor** is
-//! [`crate::query::Query::run`] over a [`crate::query::BettiRequest`];
-//! the seven historical entry points in this module
-//! (`estimate_betti_numbers{,_of_complex,_of_complex_with_threshold,
-//! _of_complex_dispatched}`, `estimate_dimension{,_dispatched,
-//! _filtered}`, `run_for_complex`, `run_for_filtration`) survive as
-//! thin `#[deprecated]` shims with **bit-identical** outputs, pinned by
-//! this module's equivalence tests. This module still owns the routing
-//! vocabulary ([`DispatchPolicy`], [`BackendKind`], [`PipelineConfig`])
-//! and the multi-scale [`betti_curve`] convenience.
+//! The **one executor** is [`crate::query::Query::run`] over a
+//! [`crate::query::BettiRequest`]. This module owns the routing
+//! vocabulary that request consumes ([`DispatchPolicy`],
+//! [`BackendKind`], [`PipelineConfig`]) and the multi-scale
+//! [`betti_curve`] convenience.
 //!
 //! The pipeline is **sparse-first**: per homology dimension it picks the
 //! Laplacian representation by size — small `S_k` take the dense route
@@ -22,12 +17,11 @@
 //! sweeps run every ε (and every dimension within an ε) in parallel via
 //! rayon.
 
-use crate::estimator::{BettiEstimate, EstimatorConfig};
+use crate::estimator::EstimatorConfig;
 use crate::query::BettiRequest;
 use qtda_tda::filtration::max_scale;
 use qtda_tda::laplacian_filtration::LaplacianFiltration;
 use qtda_tda::point_cloud::{Metric, PointCloud};
-use qtda_tda::SimplicialComplex;
 
 /// Default `|S_k|` above which the pipeline switches to the sparse
 /// (CSR + Lanczos) path. Below this the dense eigensolver is faster in
@@ -138,58 +132,6 @@ impl Default for PipelineConfig {
     }
 }
 
-/// Pipeline output: quantum estimates next to the classical truth.
-#[derive(Clone, Debug)]
-pub struct PipelineResult {
-    /// The Rips complex the estimates refer to.
-    pub complex: SimplicialComplex,
-    /// Per-dimension estimates β̃_0 … β̃_K.
-    pub estimates: Vec<BettiEstimate>,
-    /// Classical Betti numbers for the same dimensions (rank–nullity).
-    pub classical: Vec<usize>,
-}
-
-impl PipelineResult {
-    /// Estimated values after rounding.
-    pub fn rounded(&self) -> Vec<usize> {
-        self.estimates.iter().map(BettiEstimate::rounded).collect()
-    }
-
-    /// Raw (unrounded, corrected) estimates — the feature vector the
-    /// paper feeds to classifiers.
-    pub fn features(&self) -> Vec<f64> {
-        self.estimates.iter().map(|e| e.corrected).collect()
-    }
-
-    /// Per-dimension absolute errors |β̃ − β| (paper Eq. 12).
-    pub fn absolute_errors(&self) -> Vec<f64> {
-        self.estimates
-            .iter()
-            .zip(&self.classical)
-            .map(|(e, &c)| (e.corrected - c as f64).abs())
-            .collect()
-    }
-}
-
-/// Runs the full pipeline on a point cloud.
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `query::BettiRequest::of_cloud(..).at_scale(..)` and call `Query::run`"
-)]
-pub fn estimate_betti_numbers(cloud: &PointCloud, config: &PipelineConfig) -> PipelineResult {
-    let output = BettiRequest::of_cloud(cloud)
-        .at_scale(config.epsilon)
-        .max_dim(config.max_homology_dim)
-        .metric(config.metric)
-        .estimator(config.estimator)
-        .dispatch(config.dispatch_policy())
-        .build()
-        .run();
-    let complex = output.complex.expect("single-scale cloud queries materialise the complex");
-    let slice = output.slices.into_iter().next().expect("one scale in, one slice out");
-    PipelineResult { complex, estimates: slice.estimates, classical: slice.classical }
-}
-
 /// A multi-scale Betti curve: for each grouping scale, the quantum
 /// estimates and classical values per homology dimension. The stepping
 /// stone from the paper's single-ε estimates to its persistent-Betti
@@ -224,8 +166,8 @@ impl BettiCurve {
 /// re-walking boundary incidences per scale. No intermediate complexes
 /// are ever materialised; the ε's (and the homology dimensions within
 /// each ε) fan out in parallel via rayon. Results are bit-identical to
-/// running [`estimate_betti_numbers`] at each scale (the arena's
-/// slice-lexicographic Laplacians are bit-identical to direct
+/// a single-scale [`BettiRequest::of_cloud`] query at each scale (the
+/// arena's slice-lexicographic Laplacians are bit-identical to direct
 /// assembly).
 pub fn betti_curve(
     cloud: &PointCloud,
@@ -259,250 +201,21 @@ pub fn betti_curve(
     BettiCurve { epsilons, estimated, classical }
 }
 
-/// Runs the estimator across dimensions of an existing complex with the
-/// default sparse/dense switchover.
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `query::BettiRequest::of_complex(..)` and call `Query::run`"
-)]
-pub fn estimate_betti_numbers_of_complex(
-    complex: &SimplicialComplex,
-    max_homology_dim: usize,
-    estimator_config: &EstimatorConfig,
-) -> PipelineResult {
-    complex_result(
-        complex,
-        BettiRequest::of_complex(complex)
-            .max_dim(max_homology_dim)
-            .estimator(*estimator_config)
-            .build()
-            .run(),
-    )
-}
-
-/// Assembles the legacy [`PipelineResult`] shape from a complex-source
-/// query output (the complex is cloned, as the historical entry points
-/// always did).
-fn complex_result(
-    complex: &SimplicialComplex,
-    output: crate::query::QueryOutput,
-) -> PipelineResult {
-    let slice = output.slices.into_iter().next().expect("complex queries yield one slice");
-    PipelineResult {
-        complex: complex.clone(),
-        estimates: slice.estimates,
-        classical: slice.classical,
-    }
-}
-
-/// Runs the estimator across dimensions of an existing complex,
-/// switching to the sparse path whenever `|S_k| ≥ sparse_threshold`:
-/// CSR assembly straight from the boundary maps, **one** full Lanczos
-/// run per dimension ([`PaddedSpectrum::of_sparse_laplacian_bounded`]),
-/// and both the QPE estimate and the classical kernel-count truth read
-/// off that single decomposition. The homology dimensions are
-/// independent and run in parallel.
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `query::BettiRequest::of_complex(..).sparse_threshold(..)` and call `Query::run`"
-)]
-pub fn estimate_betti_numbers_of_complex_with_threshold(
-    complex: &SimplicialComplex,
-    max_homology_dim: usize,
-    estimator_config: &EstimatorConfig,
-    sparse_threshold: usize,
-) -> PipelineResult {
-    complex_result(
-        complex,
-        BettiRequest::of_complex(complex)
-            .max_dim(max_homology_dim)
-            .estimator(*estimator_config)
-            .sparse_threshold(sparse_threshold)
-            .build()
-            .run(),
-    )
-}
-
-/// Runs the estimator across dimensions of an existing complex with an
-/// explicit size-based [`DispatchPolicy`] (statevector / dense /
-/// sparse). With `DispatchPolicy::from_sparse_threshold` this is
-/// bit-identical to the threshold entry point. The homology dimensions
-/// are independent and run in parallel.
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `query::BettiRequest::of_complex(..).dispatch(..)` and call `Query::run`"
-)]
-pub fn estimate_betti_numbers_of_complex_dispatched(
-    complex: &SimplicialComplex,
-    max_homology_dim: usize,
-    estimator_config: &EstimatorConfig,
-    policy: DispatchPolicy,
-) -> PipelineResult {
-    complex_result(
-        complex,
-        BettiRequest::of_complex(complex)
-            .max_dim(max_homology_dim)
-            .estimator(*estimator_config)
-            .dispatch(policy)
-            .build()
-            .run(),
-    )
-}
-
-/// One homology dimension of a prebuilt complex: the QPE estimate next
-/// to the classical cross-check, on the dense or sparse path by `|S_k|`.
-/// This is the pipeline's finest-grained entry point — the unit of work
-/// batch drivers (`qtda-engine`) schedule at `(job, ε, dim)` granularity.
-/// Fully deterministic in `estimator_config.seed`.
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `query::BettiRequest::of_complex(..).dimension(k)` and call `Query::run`"
-)]
-pub fn estimate_dimension(
-    complex: &SimplicialComplex,
-    k: usize,
-    estimator_config: &EstimatorConfig,
-    sparse_threshold: usize,
-) -> (BettiEstimate, usize) {
-    BettiRequest::of_complex(complex)
-        .dimension(k)
-        .estimator(*estimator_config)
-        .sparse_threshold(sparse_threshold)
-        .build()
-        .run()
-        .unit()
-}
-
-/// [`estimate_dimension`] with full three-way backend routing: the
-/// [`DispatchPolicy`] sends the unit to the gate-level statevector
-/// circuit, the dense eigensolve, or the sparse Lanczos path by
-/// `|S_k|`. Still fully deterministic in `estimator_config.seed` — the
-/// route depends only on the complex, never on timing — so batch
-/// drivers can schedule these units in any order on any worker count.
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `query::BettiRequest::of_complex(..).dimension(k).dispatch(..)` and call `Query::run`"
-)]
-pub fn estimate_dimension_dispatched(
-    complex: &SimplicialComplex,
-    k: usize,
-    estimator_config: &EstimatorConfig,
-    policy: DispatchPolicy,
-) -> (BettiEstimate, usize) {
-    BettiRequest::of_complex(complex)
-        .dimension(k)
-        .estimator(*estimator_config)
-        .dispatch(policy)
-        .build()
-        .run()
-        .unit()
-}
-
-/// [`estimate_dimension_dispatched`] served from a prebuilt
-/// [`LaplacianFiltration`] arena instead of a complex: Δ_k at ε is a
-/// prefix read of the arena (slice-lexicographic order), so an ε-sweep
-/// pays Rips construction, boundary walking, and triplet sorting
-/// **once** instead of once per `(ε, dimension)` unit. Outputs are
-/// bit-identical to [`estimate_dimension_dispatched`] on
-/// `rips_complex(cloud, ε)` for every ε at or below the arena's
-/// construction scale — the classical value comes from the same exact
-/// integer ranks (sparse route: the same single Lanczos decomposition),
-/// and the estimate from a bit-identical Laplacian. This is the unit
-/// entry point [`betti_curve`] and the batch engine sweep through.
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `query::BettiRequest::of_filtration(..).at_scale(ε).dimension(k)` and call `Query::run`"
-)]
-pub fn estimate_dimension_filtered(
-    filtration: &LaplacianFiltration,
-    epsilon: f64,
-    k: usize,
-    estimator_config: &EstimatorConfig,
-    policy: DispatchPolicy,
-) -> (BettiEstimate, usize) {
-    BettiRequest::of_filtration(filtration)
-        .at_scale(epsilon)
-        .dimension(k)
-        .estimator(*estimator_config)
-        .dispatch(policy)
-        .build()
-        .run()
-        .unit()
-}
-
-/// Every dimension `0..=max_homology_dim` of one ε-slice of a prebuilt
-/// arena, serially — the filtration counterpart of
-/// [`run_for_complex`] for external sweep drivers that own their
-/// parallelism. Bit-identical to [`run_for_complex`] on the slice
-/// complex at the same seed.
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `query::BettiRequest::of_filtration(..).at_scale(ε).serial()` and call `Query::run`"
-)]
-pub fn run_for_filtration(
-    filtration: &LaplacianFiltration,
-    epsilon: f64,
-    max_homology_dim: usize,
-    estimator_config: &EstimatorConfig,
-    sparse_threshold: usize,
-) -> Vec<(BettiEstimate, usize)> {
-    let output = BettiRequest::of_filtration(filtration)
-        .at_scale(epsilon)
-        .max_dim(max_homology_dim)
-        .estimator(*estimator_config)
-        .sparse_threshold(sparse_threshold)
-        .serial()
-        .build()
-        .run();
-    let slice = output.slices.into_iter().next().expect("one scale in, one slice out");
-    slice.estimates.into_iter().zip(slice.classical).collect()
-}
-
-/// Estimates every dimension `0..=max_homology_dim` of a prebuilt
-/// complex **serially and without cloning the complex**: the
-/// whole-complex convenience over [`estimate_dimension`] for external
-/// batch drivers that own their parallelism and result assembly. (The
-/// in-repo `qtda-engine` schedules [`estimate_dimension`] directly so
-/// it can steal work at `(job, ε, dim)` granularity.) Returns the
-/// `(estimate, classical)` pair per dimension; results are bit-identical
-/// to [`estimate_betti_numbers_of_complex_with_threshold`] at the same
-/// seed.
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `query::BettiRequest::of_complex(..).serial()` and call `Query::run`"
-)]
-pub fn run_for_complex(
-    complex: &SimplicialComplex,
-    max_homology_dim: usize,
-    estimator_config: &EstimatorConfig,
-    sparse_threshold: usize,
-) -> Vec<(BettiEstimate, usize)> {
-    let output = BettiRequest::of_complex(complex)
-        .max_dim(max_homology_dim)
-        .estimator(*estimator_config)
-        .sparse_threshold(sparse_threshold)
-        .serial()
-        .build()
-        .run();
-    let slice = output.slices.into_iter().next().expect("complex queries yield one slice");
-    slice.estimates.into_iter().zip(slice.classical).collect()
-}
-
 #[cfg(test)]
 mod tests {
-    // These tests deliberately exercise the deprecated shims: they are
-    // the bit-identity pins proving `Query::run` subsumes every legacy
-    // entry point.
-    #![allow(deprecated)]
-
     use super::*;
+    use crate::query::QueryOutput;
     use qtda_tda::point_cloud::synthetic;
-    use qtda_tda::rips::{rips_complex, RipsParams};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn high_fidelity(seed: u64) -> EstimatorConfig {
         EstimatorConfig { precision_qubits: 7, shots: 20_000, seed, ..Default::default() }
+    }
+
+    /// The single-scale cloud query a [`PipelineConfig`] describes.
+    fn run(cloud: &PointCloud, config: &PipelineConfig) -> QueryOutput {
+        BettiRequest::of_cloud(cloud).configured(config).build().run()
     }
 
     #[test]
@@ -515,7 +228,8 @@ mod tests {
             estimator: high_fidelity(5),
             ..Default::default()
         };
-        let result = estimate_betti_numbers(&cloud, &config);
+        let output = run(&cloud, &config);
+        let result = output.single_slice();
         assert_eq!(result.classical, vec![1, 1]);
         assert_eq!(result.rounded(), vec![1, 1], "features {:?}", result.features());
     }
@@ -530,7 +244,8 @@ mod tests {
             estimator: high_fidelity(6),
             ..Default::default()
         };
-        let result = estimate_betti_numbers(&cloud, &config);
+        let output = run(&cloud, &config);
+        let result = output.single_slice();
         assert_eq!(result.classical[0], 2);
         assert_eq!(result.rounded()[0], 2);
     }
@@ -545,8 +260,8 @@ mod tests {
             estimator: high_fidelity(7),
             ..Default::default()
         };
-        let result = estimate_betti_numbers(&cloud, &config);
-        for (k, err) in result.absolute_errors().iter().enumerate() {
+        let output = run(&cloud, &config);
+        for (k, err) in output.single_slice().absolute_errors().iter().enumerate() {
             assert!(*err < 0.5, "k = {k}: AE = {err}");
         }
     }
@@ -562,7 +277,8 @@ mod tests {
             estimator: high_fidelity(8),
             ..Default::default()
         };
-        let result = estimate_betti_numbers(&cloud, &config);
+        let output = run(&cloud, &config);
+        let result = output.single_slice();
         assert_eq!(result.classical, vec![3, 0]);
         assert_eq!(result.rounded()[1], 0);
         assert_eq!(result.estimates[1].q, 0, "empty S₁ short-circuits");
@@ -598,7 +314,8 @@ mod tests {
         };
         let curve = betti_curve(&cloud, 0.2, 1.1, 7, &config);
         for (i, &eps) in curve.epsilons.iter().enumerate() {
-            let direct = estimate_betti_numbers(&cloud, &PipelineConfig { epsilon: eps, ..config });
+            let output = run(&cloud, &PipelineConfig { epsilon: eps, ..config });
+            let direct = output.single_slice();
             assert_eq!(curve.classical[i], direct.classical, "ε = {eps}");
             for (k, (curve_v, direct_v)) in
                 curve.estimated[i].iter().zip(direct.features()).enumerate()
@@ -613,71 +330,6 @@ mod tests {
     }
 
     #[test]
-    fn filtered_units_are_bit_identical_to_complex_units_across_backends() {
-        let mut rng = StdRng::seed_from_u64(61);
-        let cloud = synthetic::circle(14, 1.0, 0.02, &mut rng);
-        let grid = [0.2, 0.35, 0.5, 0.65, 0.8];
-        let filtration = LaplacianFiltration::rips(&cloud, max_scale(&grid), 2, Metric::Euclidean);
-        let config = high_fidelity(23);
-        // Exercise all three routes: statevector on tiny S_k, dense in
-        // the middle, sparse Lanczos from 12 up.
-        let policy = DispatchPolicy { statevector_max: 4, sparse_min: 12 };
-        for &eps in &grid {
-            let complex = rips_complex(&cloud, &RipsParams::new(eps, 2));
-            for k in 0..=1usize {
-                let direct = estimate_dimension_dispatched(&complex, k, &config, policy);
-                let filtered = estimate_dimension_filtered(&filtration, eps, k, &config, policy);
-                assert_eq!(direct.1, filtered.1, "classical at ε = {eps}, k = {k}");
-                assert_eq!(
-                    direct.0.corrected.to_bits(),
-                    filtered.0.corrected.to_bits(),
-                    "estimate at ε = {eps}, k = {k}"
-                );
-                assert_eq!(direct.0.p_zero_exact.to_bits(), filtered.0.p_zero_exact.to_bits());
-                assert_eq!(direct.0.q, filtered.0.q);
-            }
-        }
-    }
-
-    #[test]
-    fn run_for_filtration_matches_run_for_complex() {
-        let mut rng = StdRng::seed_from_u64(62);
-        let cloud = synthetic::figure_eight(11, 1.0, 0.03, &mut rng);
-        let eps = 0.6;
-        let filtration = LaplacianFiltration::rips(&cloud, eps, 2, Metric::Euclidean);
-        let complex = rips_complex(&cloud, &RipsParams::new(eps, 2));
-        let config = high_fidelity(29);
-        for threshold in [0, 8, usize::MAX] {
-            let via_complex = run_for_complex(&complex, 1, &config, threshold);
-            let via_filtration = run_for_filtration(&filtration, eps, 1, &config, threshold);
-            assert_eq!(via_complex.len(), via_filtration.len());
-            for ((ec, cc), (ef, cf)) in via_complex.iter().zip(&via_filtration) {
-                assert_eq!(cc, cf, "classical, threshold {threshold}");
-                assert_eq!(ec.corrected.to_bits(), ef.corrected.to_bits());
-                assert_eq!(ec.p_zero_sampled.to_bits(), ef.p_zero_sampled.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn run_for_complex_matches_parallel_of_complex_entry() {
-        let mut rng = StdRng::seed_from_u64(27);
-        let cloud = synthetic::circle(13, 1.0, 0.02, &mut rng);
-        let complex = rips_complex(&cloud, &RipsParams::new(0.6, 2));
-        let config = high_fidelity(17);
-        let serial = run_for_complex(&complex, 1, &config, DEFAULT_SPARSE_THRESHOLD);
-        let parallel = estimate_betti_numbers_of_complex(&complex, 1, &config);
-        assert_eq!(serial.len(), parallel.estimates.len());
-        for ((est, classical), (p_est, p_classical)) in
-            serial.iter().zip(parallel.estimates.iter().zip(&parallel.classical))
-        {
-            assert_eq!(*classical, *p_classical);
-            assert_eq!(est.p_zero_sampled.to_bits(), p_est.p_zero_sampled.to_bits());
-            assert_eq!(est.corrected.to_bits(), p_est.corrected.to_bits());
-        }
-    }
-
-    #[test]
     fn sparse_and_dense_paths_agree_on_circle() {
         let mut rng = StdRng::seed_from_u64(21);
         let cloud = synthetic::circle(14, 1.0, 0.02, &mut rng);
@@ -687,12 +339,9 @@ mod tests {
             estimator: high_fidelity(5),
             ..Default::default()
         };
-        let dense = estimate_betti_numbers(
-            &cloud,
-            &PipelineConfig { sparse_threshold: usize::MAX, ..base },
-        );
-        let sparse =
-            estimate_betti_numbers(&cloud, &PipelineConfig { sparse_threshold: 0, ..base });
+        let dense = run(&cloud, &PipelineConfig { sparse_threshold: usize::MAX, ..base });
+        let sparse = run(&cloud, &PipelineConfig { sparse_threshold: 0, ..base });
+        let (dense, sparse) = (dense.single_slice(), sparse.single_slice());
         assert_eq!(dense.classical, sparse.classical, "classical Betti routes disagree");
         assert_eq!(dense.rounded(), sparse.rounded());
         for (d, s) in dense.estimates.iter().zip(&sparse.estimates) {
@@ -719,8 +368,10 @@ mod tests {
             sparse_threshold: 8,
             ..Default::default()
         };
-        let result = estimate_betti_numbers(&cloud, &config);
-        assert!(result.complex.count(1) >= 8, "scenario must engage the sparse path");
+        let output = run(&cloud, &config);
+        let complex = output.complex.as_ref().expect("single-scale cloud queries materialise one");
+        assert!(complex.count(1) >= 8, "scenario must engage the sparse path");
+        let result = output.single_slice();
         assert_eq!(result.classical, vec![1, 1]);
         assert_eq!(result.rounded(), vec![1, 1], "features {:?}", result.features());
     }
@@ -752,29 +403,6 @@ mod tests {
     }
 
     #[test]
-    fn threshold_entry_points_are_bit_identical_to_dispatched() {
-        let mut rng = StdRng::seed_from_u64(51);
-        let cloud = synthetic::circle(12, 1.0, 0.02, &mut rng);
-        let complex = rips_complex(&cloud, &RipsParams::new(0.6, 2));
-        let config = high_fidelity(19);
-        for threshold in [0, 8, usize::MAX] {
-            let direct = estimate_dimension(&complex, 1, &config, threshold);
-            let dispatched = estimate_dimension_dispatched(
-                &complex,
-                1,
-                &config,
-                DispatchPolicy::from_sparse_threshold(threshold),
-            );
-            assert_eq!(direct.1, dispatched.1, "classical, threshold {threshold}");
-            assert_eq!(
-                direct.0.corrected.to_bits(),
-                dispatched.0.corrected.to_bits(),
-                "estimate, threshold {threshold}"
-            );
-        }
-    }
-
-    #[test]
     fn statevector_tier_agrees_with_dense_on_small_complexes() {
         let mut rng = StdRng::seed_from_u64(52);
         let cloud = synthetic::circle(10, 1.0, 0.02, &mut rng);
@@ -784,9 +412,9 @@ mod tests {
             estimator: high_fidelity(9),
             ..Default::default()
         };
-        let dense = estimate_betti_numbers(&cloud, &base);
-        let gate =
-            estimate_betti_numbers(&cloud, &PipelineConfig { statevector_max: usize::MAX, ..base });
+        let dense = run(&cloud, &base);
+        let gate = run(&cloud, &PipelineConfig { statevector_max: usize::MAX, ..base });
+        let (dense, gate) = (dense.single_slice(), gate.single_slice());
         assert_eq!(dense.classical, gate.classical, "classical truth is backend-free");
         assert_eq!(dense.rounded(), gate.rounded());
         for (d, g) in dense.estimates.iter().zip(&gate.estimates) {
@@ -815,7 +443,8 @@ mod tests {
             },
             ..Default::default()
         };
-        let result = estimate_betti_numbers(&cloud, &config);
+        let output = run(&cloud, &config);
+        let result = output.single_slice();
         // Low fidelity: features are generally fractional.
         assert_eq!(result.features().len(), 2);
         for f in result.features() {

@@ -1,13 +1,9 @@
 //! The unified request API: one [`BettiRequest`] builder, one
 //! [`Query::run`] executor, one [`QosPolicy`] vocabulary.
 //!
-//! The pipeline had accreted seven overlapping entry points
-//! (`estimate_betti_numbers`, `…_of_complex`, `…_with_threshold`,
-//! `…_dispatched`, `estimate_dimension{,_dispatched,_filtered}`,
-//! `run_for_complex`, `run_for_filtration`) that all answered the same
-//! question — *estimate β̃_k of some source at some scales* — with
-//! different source types, parallelism defaults, and routing knobs
-//! hard-coded into their signatures. This module collapses them:
+//! Every Betti query answers the same question — *estimate β̃_k of
+//! some source at some scales* — so one builder and one executor serve
+//! all of them, whatever the source type, parallelism, or routing:
 //!
 //! * [`BettiRequest`] is the builder. Pick a source
 //!   ([`BettiRequest::of_cloud`] / [`of_complex`](BettiRequest::of_complex)
@@ -25,12 +21,12 @@
 //!   engine and streaming service speak the same vocabulary, so one
 //!   policy travels from a front-end ticket down to individual units.
 //!
-//! The old entry points survive as `#[deprecated]` shims in
-//! [`crate::pipeline`], each a one-line [`BettiRequest`] build —
-//! **bit-identical** outputs, pinned by the pipeline's equivalence
-//! tests. Unit values are pure functions of `(source content, ε, k,
-//! estimator config, policy)`, so nothing about this redesign (or about
-//! priorities, deadlines, or parallelism) can change a completed
+//! Unit values are pure functions of `(source content, ε, k,
+//! estimator config, policy)`, so equivalent request shapes — a cloud,
+//! its complex, or its filtration arena; a sparse threshold or the
+//! policy it abbreviates; serial or parallel — give **bit-identical**
+//! outputs (pinned by this module's tests), and nothing about
+//! priorities, deadlines, or parallelism can change a completed
 //! result's bits.
 
 use crate::backend::{LanczosBackend, StatevectorBackend};
@@ -401,10 +397,8 @@ impl<'a> BettiRequest<'a> {
         self
     }
 
-    /// Absorbs a legacy [`crate::pipeline::PipelineConfig`] in one
-    /// call: scale, dimensions, metric, estimator, and routing — the
-    /// migration bridge for callers still holding the config type the
-    /// deprecated entry points consumed.
+    /// Absorbs a [`crate::pipeline::PipelineConfig`] in one call:
+    /// scale, dimensions, metric, estimator, and routing.
     pub fn configured(self, config: &crate::pipeline::PipelineConfig) -> Self {
         self.at_scale(config.epsilon)
             .max_dim(config.max_homology_dim)
@@ -519,8 +513,8 @@ impl<'a> BettiRequest<'a> {
 // ---------------------------------------------------------------------
 
 /// A validated [`BettiRequest`], ready to execute. This is the **one**
-/// executor every legacy `core::pipeline` entry point now routes
-/// through, and the unit the batch engine schedules.
+/// executor: [`crate::pipeline::betti_curve`] routes through it, and
+/// it is the unit the batch engine schedules.
 #[derive(Clone, Debug)]
 pub struct Query<'a> {
     req: BettiRequest<'a>,
@@ -1033,23 +1027,120 @@ mod tests {
     fn serial_and_parallel_runs_are_bit_identical() {
         let mut rng = StdRng::seed_from_u64(13);
         let cloud = synthetic::figure_eight(10, 1.0, 0.02, &mut rng);
-        let grid = vec![0.3, 0.5, 0.7, 0.9];
-        let parallel = BettiRequest::of_cloud(&cloud)
-            .on_grid(grid.clone())
-            .estimator(high_fidelity(5))
-            .build()
-            .run();
-        let serial = BettiRequest::of_cloud(&cloud)
-            .on_grid(grid)
-            .estimator(high_fidelity(5))
-            .serial()
-            .build()
-            .run();
-        assert_eq!(parallel.slices.len(), serial.slices.len());
-        for (p, s) in parallel.slices.iter().zip(&serial.slices) {
-            assert_eq!(p.classical, s.classical);
-            for (a, b) in p.features().iter().zip(s.features()) {
-                assert_eq!(a.to_bits(), b.to_bits());
+        let mut rng = StdRng::seed_from_u64(27);
+        let circle = synthetic::circle(13, 1.0, 0.02, &mut rng);
+        let complex = rips_complex(&circle, &RipsParams::new(0.6, 2));
+        let requests = [
+            BettiRequest::of_cloud(&cloud)
+                .on_grid(vec![0.3, 0.5, 0.7, 0.9])
+                .estimator(high_fidelity(5)),
+            BettiRequest::of_complex(&complex).max_dim(1).estimator(high_fidelity(17)),
+        ];
+        for request in requests {
+            let parallel = request.clone().build().run();
+            let serial = request.serial().build().run();
+            assert_eq!(parallel.slices.len(), serial.slices.len());
+            for (p, s) in parallel.slices.iter().zip(&serial.slices) {
+                assert_eq!(p.classical, s.classical);
+                for (a, b) in p.estimates.iter().zip(&s.estimates) {
+                    assert_eq!(a.p_zero_sampled.to_bits(), b.p_zero_sampled.to_bits());
+                    assert_eq!(a.corrected.to_bits(), b.corrected.to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sparse_threshold_is_bit_identical_to_the_threshold_policy() {
+        let mut rng = StdRng::seed_from_u64(51);
+        let cloud = synthetic::circle(12, 1.0, 0.02, &mut rng);
+        let complex = rips_complex(&cloud, &RipsParams::new(0.6, 2));
+        let request = BettiRequest::of_complex(&complex).dimension(1).estimator(high_fidelity(19));
+        for threshold in [0, 8, usize::MAX] {
+            let direct = request.clone().sparse_threshold(threshold).build().run().unit();
+            let dispatched = request
+                .clone()
+                .dispatch(DispatchPolicy::from_sparse_threshold(threshold))
+                .build()
+                .run()
+                .unit();
+            assert_eq!(direct.1, dispatched.1, "classical, threshold {threshold}");
+            assert_eq!(
+                direct.0.corrected.to_bits(),
+                dispatched.0.corrected.to_bits(),
+                "estimate, threshold {threshold}"
+            );
+        }
+    }
+
+    #[test]
+    fn filtration_units_are_bit_identical_to_complex_units_across_backends() {
+        let mut rng = StdRng::seed_from_u64(61);
+        let cloud = synthetic::circle(14, 1.0, 0.02, &mut rng);
+        let grid = [0.2, 0.35, 0.5, 0.65, 0.8];
+        let filtration = LaplacianFiltration::rips(&cloud, max_scale(&grid), 2, Metric::Euclidean);
+        // Exercise all three routes: statevector on tiny S_k, dense in
+        // the middle, sparse Lanczos from 12 up.
+        let policy = DispatchPolicy { statevector_max: 4, sparse_min: 12 };
+        for &eps in &grid {
+            let complex = rips_complex(&cloud, &RipsParams::new(eps, 2));
+            for k in 0..=1usize {
+                let direct = BettiRequest::of_complex(&complex)
+                    .dimension(k)
+                    .estimator(high_fidelity(23))
+                    .dispatch(policy)
+                    .build()
+                    .run()
+                    .unit();
+                let filtered = BettiRequest::of_filtration(&filtration)
+                    .at_scale(eps)
+                    .dimension(k)
+                    .estimator(high_fidelity(23))
+                    .dispatch(policy)
+                    .build()
+                    .run()
+                    .unit();
+                assert_eq!(direct.1, filtered.1, "classical at ε = {eps}, k = {k}");
+                assert_eq!(
+                    direct.0.corrected.to_bits(),
+                    filtered.0.corrected.to_bits(),
+                    "estimate at ε = {eps}, k = {k}"
+                );
+                assert_eq!(direct.0.p_zero_exact.to_bits(), filtered.0.p_zero_exact.to_bits());
+                assert_eq!(direct.0.q, filtered.0.q);
+            }
+        }
+    }
+
+    #[test]
+    fn serial_filtration_slices_match_serial_complex_slices() {
+        let mut rng = StdRng::seed_from_u64(62);
+        let cloud = synthetic::figure_eight(11, 1.0, 0.03, &mut rng);
+        let eps = 0.6;
+        let filtration = LaplacianFiltration::rips(&cloud, eps, 2, Metric::Euclidean);
+        let complex = rips_complex(&cloud, &RipsParams::new(eps, 2));
+        for threshold in [0, 8, usize::MAX] {
+            let via_complex = BettiRequest::of_complex(&complex)
+                .max_dim(1)
+                .estimator(high_fidelity(29))
+                .sparse_threshold(threshold)
+                .serial()
+                .build()
+                .run();
+            let via_filtration = BettiRequest::of_filtration(&filtration)
+                .at_scale(eps)
+                .max_dim(1)
+                .estimator(high_fidelity(29))
+                .sparse_threshold(threshold)
+                .serial()
+                .build()
+                .run();
+            let (c, f) = (via_complex.single_slice(), via_filtration.single_slice());
+            assert_eq!(c.estimates.len(), f.estimates.len());
+            assert_eq!(c.classical, f.classical, "classical, threshold {threshold}");
+            for (ec, ef) in c.estimates.iter().zip(&f.estimates) {
+                assert_eq!(ec.corrected.to_bits(), ef.corrected.to_bits());
+                assert_eq!(ec.p_zero_sampled.to_bits(), ef.p_zero_sampled.to_bits());
             }
         }
     }

@@ -32,7 +32,8 @@
 //! pipeline — they are a different, equally sound operating point.
 //! Construct the sweep with [`WarmLambda::Off`] to get the plain
 //! arena path, bit-identical to [`betti_curve`](crate::pipeline::betti_curve)
-//! and [`estimate_dimension_filtered`](crate::pipeline::estimate_dimension_filtered).
+//! and to single-unit filtration queries
+//! ([`BettiRequest::of_filtration`](crate::query::BettiRequest::of_filtration)).
 
 use crate::backend::{LanczosBackend, StatevectorBackend};
 use crate::estimator::{BettiEstimate, BettiEstimator, EstimatorConfig};

@@ -321,8 +321,8 @@ impl JobResult {
 /// Monotone serving counters (since engine construction), except the
 /// `arena_bytes_live` gauge. A view over the engine's
 /// [`MetricsRegistry`] (`qtda_engine_*` metrics) — engines built over
-/// a shared registry with [`BatchEngine::with_metrics`] share the
-/// cells, and an engine over a *disabled* registry reads all zeros.
+/// a shared registry with [`BatchEngine::with_observability`] share
+/// the cells, and an engine over a *disabled* registry reads all zeros.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct EngineStats {
     /// Jobs requested across all batches.
@@ -470,19 +470,13 @@ struct EngineMetrics {
 }
 
 impl EngineMetrics {
-    /// Registers every `qtda_engine_*` metric under the given extra
-    /// label set (e.g. `[("shard", "3")]` from a cluster tier, so N
-    /// engines publish into one shared registry as distinct per-shard
-    /// series instead of summing into one cell). The class label of
-    /// `qtda_engine_served_total` composes after the extra labels.
-    fn register_with(registry: &MetricsRegistry, labels: &[(&str, &str)]) -> Self {
-        let counter = |name: &str| registry.counter_with(name, labels);
-        let gauge = |name: &str| registry.gauge_with(name, labels);
-        let served = |class: &'static str| {
-            let mut with_class: Vec<(&str, &str)> = labels.to_vec();
-            with_class.push(("class", class));
-            registry.counter_with("qtda_engine_served_total", &with_class)
-        };
+    /// Registers every `qtda_engine_*` metric, unlabelled except for
+    /// the class label of `qtda_engine_served_total`.
+    fn register(registry: &MetricsRegistry) -> Self {
+        let counter = |name: &str| registry.counter(name);
+        let gauge = |name: &str| registry.gauge(name);
+        let served =
+            |class: &str| registry.counter_with("qtda_engine_served_total", &[("class", class)]);
         EngineMetrics {
             jobs_served: counter("qtda_engine_jobs_served_total"),
             batches_served: counter("qtda_engine_batches_total"),
@@ -522,10 +516,8 @@ impl EngineMetrics {
 /// stream ([`BettiJob::same_request`]), so a forged or colliding
 /// fingerprint falls back to independent execution instead of borrowing
 /// another request's results (the same verification the LRU applies on
-/// cache hits; with cluster routing keyed by fingerprint, colliding
-/// jobs also land in one batch on one shard, which is exactly where
-/// this check catches them). Returns `(misses, dup_of)`, both indexed
-/// like the full batch.
+/// cache hits). Returns `(misses, dup_of)`, both indexed like the full
+/// batch.
 fn plan_dedup(
     jobs: &[&BettiJob],
     fingerprints: &[u64],
@@ -551,44 +543,22 @@ impl BatchEngine {
     /// An engine with the given configuration and its own private
     /// [`MetricsRegistry`].
     pub fn new(config: EngineConfig) -> Self {
-        Self::with_metrics(config, Arc::new(MetricsRegistry::new()))
+        Self::with_observability(config, Arc::new(MetricsRegistry::new()), None)
     }
 
     /// An engine publishing its serving counters into a caller-owned
-    /// registry (the service shares one registry across its whole
-    /// stack). Engines sharing a registry share the `qtda_engine_*`
-    /// metric cells — their counts add.
-    pub fn with_metrics(config: EngineConfig, registry: Arc<MetricsRegistry>) -> Self {
-        Self::with_observability(config, registry, None)
-    }
-
-    /// [`Self::with_metrics`] plus a caller-owned [`FlightRecorder`]:
-    /// the engine stamps `cache_hit` / `unit_done` / `cancel` /
-    /// `deadline_expired` / `abort` events into it as requests move
-    /// through batches (the service shares one recorder across its
-    /// whole stack, so engine events join service events by job
-    /// fingerprint). `None` disables engine-side event recording.
+    /// registry and stamping events into a caller-owned
+    /// [`FlightRecorder`] (the service shares one of each across its
+    /// whole stack). Engines sharing a registry share the
+    /// `qtda_engine_*` metric cells — their counts add. The engine
+    /// stamps `cache_hit` / `unit_done` / `cancel` / `deadline_expired`
+    /// / `abort` events as requests move through batches, so engine
+    /// events join service events by job fingerprint; `None` disables
+    /// engine-side event recording.
     pub fn with_observability(
         config: EngineConfig,
         registry: Arc<MetricsRegistry>,
         recorder: Option<Arc<FlightRecorder>>,
-    ) -> Self {
-        Self::with_observability_labels(config, registry, recorder, &[])
-    }
-
-    /// [`Self::with_observability`] with extra metric labels applied to
-    /// every `qtda_engine_*` series this engine registers. This is how
-    /// a cluster tier gives each of its N shard engines a distinct
-    /// `shard=` label inside **one** shared registry: same family
-    /// names, disjoint label sets, so the exposition shows per-shard
-    /// series and [`Self::stats`] still reads only this engine's own
-    /// cells. An empty label set is exactly
-    /// [`Self::with_observability`].
-    pub fn with_observability_labels(
-        config: EngineConfig,
-        registry: Arc<MetricsRegistry>,
-        recorder: Option<Arc<FlightRecorder>>,
-        labels: &[(&str, &str)],
     ) -> Self {
         let cache = if config.cache_doorkeeper {
             // Track first sightings for several cache generations so
@@ -597,7 +567,7 @@ impl BatchEngine {
         } else {
             LruCache::new(config.cache_capacity)
         };
-        let metrics = EngineMetrics::register_with(&registry, labels);
+        let metrics = EngineMetrics::register(&registry);
         let recorder = recorder.unwrap_or_else(|| Arc::new(FlightRecorder::disabled()));
         BatchEngine { config, cache: Mutex::new(cache), registry, metrics, recorder }
     }
@@ -1876,7 +1846,7 @@ mod tests {
         let config = EngineConfig { cache_capacity: 0, ..EngineConfig::default() };
         let reference = BatchEngine::new(config).run_batch(&jobs);
         for registry in [MetricsRegistry::new(), MetricsRegistry::disabled()] {
-            let engine = BatchEngine::with_metrics(config, Arc::new(registry));
+            let engine = BatchEngine::with_observability(config, Arc::new(registry), None);
             let traced: Vec<JobRequest> =
                 jobs.iter().map(|j| JobRequest::new(j.clone()).with_trace(Tracer::new())).collect();
             let outcomes = engine.run_batch_qos(&traced);

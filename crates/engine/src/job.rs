@@ -71,10 +71,7 @@ impl BettiJob {
     /// can never drift apart. The engine verifies this on every cache
     /// hit **and** on every in-batch dedup representative, so a 64-bit
     /// fingerprint collision degrades to a recompute instead of serving
-    /// another request's results — load-bearing now that the cluster
-    /// tier also routes requests onto shards by this fingerprint
-    /// (colliding jobs land in one batch on one shard, exactly where
-    /// the verification catches them).
+    /// another request's results.
     pub fn same_request(&self, other: &BettiJob) -> bool {
         self.content_words() == other.content_words()
     }

@@ -5,7 +5,7 @@
 //! estimates Betti numbers for *thousands* of independent small
 //! sliding-window point clouds; Lloyd et al. (arXiv:1408.3106) frame
 //! QTDA as a big-data primitive run over many datasets. Serving that
-//! kind of traffic one `estimate_betti_numbers` call at a time wastes
+//! kind of traffic one single-scale `BettiRequest` at a time wastes
 //! work three ways, and this crate exists to stop all three:
 //!
 //! * **Per-ε rebuilds.** A [`BettiJob`] carries a whole ε-grid; the

@@ -5,12 +5,11 @@
 //! happened, in order**, when a request goes wrong. The
 //! [`FlightRecorder`] closes that gap: the service and engine stamp a
 //! small [`Event`] at each lifecycle point that already holds the
-//! tracer (submit, batch formed, shard route, steal, cache hit, unit
-//! done, cancel, deadline expiry, abort), and the recorder keeps the
-//! most recent `capacity` of
-//! them in a ring — old events fall off, recording never blocks serving
-//! for more than one shard lock, and memory is bounded no matter how
-//! long the process runs.
+//! tracer (submit, batch formed, cache hit, unit done, cancel,
+//! deadline expiry, abort), and the recorder keeps the most recent
+//! `capacity` of them in a ring — old events fall off, recording never
+//! blocks serving for more than one shard lock, and memory is bounded
+//! no matter how long the process runs.
 //!
 //! Two read paths:
 //!
@@ -46,13 +45,6 @@ pub enum EventKind {
     Submit,
     /// The batcher dispatched a micro-batch to the engine.
     BatchFormed,
-    /// A cluster tier routed the job onto an engine shard (consistent
-    /// hashing of the content fingerprint, or hot-key replication).
-    ShardRoute,
-    /// An idle shard stole the whole queued job from a backlogged
-    /// shard's dispatch queue (the result is still delivered by the
-    /// owning ticket, from the owning shard's engine).
-    Steal,
     /// One `(job, ε, dim)` estimation unit completed.
     UnitDone,
     /// A request was answered from the LRU result cache.
@@ -71,8 +63,6 @@ impl EventKind {
         match self {
             EventKind::Submit => "submit",
             EventKind::BatchFormed => "batch_formed",
-            EventKind::ShardRoute => "shard_route",
-            EventKind::Steal => "steal",
             EventKind::UnitDone => "unit_done",
             EventKind::CacheHit => "cache_hit",
             EventKind::Cancel => "cancel",

@@ -569,15 +569,6 @@ impl MetricsSnapshot {
         self.gauges.get(&(name.to_string(), String::new())).copied().unwrap_or(0)
     }
 
-    /// The value of one labelled counter series, 0 if absent. Labels
-    /// must be passed in the same order they were registered with (the
-    /// identity is the rendered label string, exactly as in
-    /// [`MetricsRegistry::counter_with`]) — e.g. the per-shard engine
-    /// counters a cluster tier registers as `[("shard", "0")]`.
-    pub fn counter_with(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
-        self.counters.get(&(name.to_string(), render_labels(labels))).copied().unwrap_or(0)
-    }
-
     /// Sum of a labelled counter family over all label sets.
     pub fn counter_family(&self, name: &str) -> u64 {
         self.counters.iter().filter(|((n, _), _)| n == name).map(|(_, v)| v).sum()

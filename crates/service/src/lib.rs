@@ -72,7 +72,6 @@ pub use dispatch::{serving_policy, validating_policy, BackendKind, DispatchPolic
 // (flight recorder, scrape server, rolling windows, SLO tracking) —
 // re-exported so callers can build a [`Telemetry`], serve scrapes, and
 // wire burn-rate alerts without depending on `qtda-obs` directly.
-pub use qtda_cluster::{ClusterConfig, ClusterEngine};
 pub use qtda_engine::{
     AbortReason, CancelToken, Event, EventKind, FlightRecorder, MetricsRegistry, MetricsSnapshot,
     Priority, QosPolicy,

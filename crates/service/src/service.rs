@@ -36,7 +36,6 @@
 use crate::queue::{Request, SubmissionQueue, SubmitError};
 use crate::stats::{Counters, ServiceStats};
 use crate::ticket::{StreamedSlice, Ticket, TicketEvent};
-use qtda_cluster::{ClusterConfig, ClusterEngine};
 use qtda_engine::{
     BatchEngine, BettiJob, EngineConfig, EventKind, FlightRecorder, JobOutcome, JobRequest,
     MetricsRegistry, Priority, QosPolicy, SliceEvent, Tracer,
@@ -174,16 +173,6 @@ pub struct ServiceConfig {
     /// (and Normal) work keeps flowing under sustained higher-class
     /// load. Must be ≥ 1.
     pub priority_bypass: usize,
-    /// Engine shards behind the batcher. `1` (the default) keeps the
-    /// classic single [`BatchEngine`] backend — identical behaviour,
-    /// metrics, and journal to every prior release. `> 1` puts a
-    /// [`ClusterEngine`] behind the micro-batcher: micro-batches are
-    /// routed across the shards by content fingerprint (consistent
-    /// hashing, work stealing on, see `qtda_cluster`), every shard's
-    /// `qtda_engine_*` metrics publish into the one registry under its
-    /// own `shard=` label, and `/ready` reports 503 if any shard dies.
-    /// Results are bit-identical at any shard count.
-    pub shards: usize,
 }
 
 impl Default for ServiceConfig {
@@ -195,7 +184,6 @@ impl Default for ServiceConfig {
             queue_capacity: 256,
             adaptive_linger: true,
             priority_bypass: 4,
-            shards: 1,
         }
     }
 }
@@ -275,53 +263,11 @@ impl ServiceHealth {
     }
 }
 
-/// What actually serves a micro-batch: the classic single engine
-/// ([`ServiceConfig::shards`] ≤ 1 — byte-for-byte the pre-cluster
-/// behaviour, unlabelled metrics and all), or a [`ClusterEngine`]
-/// routing across N shard engines. Both expose the same streaming QoS
-/// entry point and produce bit-identical results, so the batcher does
-/// not care which one it feeds.
-enum Backend {
-    Single(Arc<BatchEngine>),
-    Cluster(Arc<ClusterEngine>),
-}
-
-impl Backend {
-    fn recorder(&self) -> &Arc<FlightRecorder> {
-        match self {
-            Backend::Single(engine) => engine.recorder(),
-            Backend::Cluster(cluster) => cluster.recorder(),
-        }
-    }
-
-    fn run_batch_streaming_qos(
-        &self,
-        requests: &[JobRequest],
-        sink: &qtda_engine::batch::SliceSink<'_>,
-    ) -> Vec<JobOutcome> {
-        match self {
-            Backend::Single(engine) => engine.run_batch_streaming_qos(requests, sink),
-            Backend::Cluster(cluster) => cluster.run_batch_streaming_qos(requests, sink),
-        }
-    }
-
-    /// The backend's own liveness: trivially `true` for a single
-    /// engine (it runs on the batcher's thread), every-shard-alive for
-    /// a cluster.
-    fn is_ready(&self) -> bool {
-        match self {
-            Backend::Single(_) => true,
-            Backend::Cluster(cluster) => cluster.is_ready(),
-        }
-    }
-}
-
-/// The streaming Betti-serving service: a [`BatchEngine`] (or, with
-/// [`ServiceConfig::shards`] > 1, a sharded [`ClusterEngine`]) behind
-/// a bounded three-class priority queue and a deadline micro-batcher,
+/// The streaming Betti-serving service: one [`BatchEngine`] behind a
+/// bounded three-class priority queue and a deadline micro-batcher,
 /// returning a [`Ticket`] per submission.
 pub struct QtdaService {
-    backend: Arc<Backend>,
+    engine: Arc<BatchEngine>,
     queue: Arc<SubmissionQueue>,
     counters: Arc<Counters>,
     registry: Arc<MetricsRegistry>,
@@ -349,23 +295,11 @@ impl QtdaService {
         assert!(config.max_batch_size >= 1, "micro-batches need at least one job");
         let registry = telemetry.registry;
         let events = telemetry.events;
-        let backend = if config.shards > 1 {
-            Arc::new(Backend::Cluster(Arc::new(ClusterEngine::with_observability(
-                ClusterConfig {
-                    engine: config.engine,
-                    shards: config.shards,
-                    ..ClusterConfig::default()
-                },
-                Arc::clone(&registry),
-                events.clone(),
-            ))))
-        } else {
-            Arc::new(Backend::Single(Arc::new(BatchEngine::with_observability(
-                config.engine,
-                Arc::clone(&registry),
-                events.clone(),
-            ))))
-        };
+        let engine = Arc::new(BatchEngine::with_observability(
+            config.engine,
+            Arc::clone(&registry),
+            events.clone(),
+        ));
         let queue = Arc::new(SubmissionQueue::with_depth_gauge(
             config.queue_capacity,
             config.priority_bypass,
@@ -374,17 +308,17 @@ impl QtdaService {
         let counters = Arc::new(Counters::register(&registry));
         let health = Arc::new(ServiceHealth::new());
         let batcher = {
-            let backend = Arc::clone(&backend);
+            let engine = Arc::clone(&engine);
             let queue = Arc::clone(&queue);
             let counters = Arc::clone(&counters);
             let health = Arc::clone(&health);
             std::thread::Builder::new()
                 .name("qtda-service-batcher".into())
-                .spawn(move || batcher_loop(&backend, &queue, &counters, &health, config))
+                .spawn(move || batcher_loop(&engine, &queue, &counters, &health, config))
                 .expect("spawning the batcher thread")
         };
         QtdaService {
-            backend,
+            engine,
             queue,
             counters,
             registry,
@@ -414,7 +348,7 @@ impl QtdaService {
     pub fn submit_with(&self, job: BettiJob, qos: QosPolicy) -> Result<Ticket, SubmitError> {
         let (request, ticket) = self.make_request(job, qos);
         let priority = request.qos.priority;
-        let submit_event = prepared_submit_event(self.backend.recorder(), &request);
+        let submit_event = prepared_submit_event(self.engine.recorder(), &request);
         let journal_key = submit_event.as_ref().map(|(t, f, _)| (*t, *f));
         self.stamp_submit(submit_event);
         if let Err(err) = self.queue.push_blocking(request) {
@@ -436,7 +370,7 @@ impl QtdaService {
     pub fn try_submit_with(&self, job: BettiJob, qos: QosPolicy) -> Result<Ticket, SubmitError> {
         let (request, ticket) = self.make_request(job, qos);
         let priority = request.qos.priority;
-        let submit_event = prepared_submit_event(self.backend.recorder(), &request);
+        let submit_event = prepared_submit_event(self.engine.recorder(), &request);
         let journal_key = submit_event.as_ref().map(|(t, f, _)| (*t, *f));
         self.stamp_submit(submit_event);
         match self.queue.try_push(request) {
@@ -466,7 +400,7 @@ impl QtdaService {
     /// [`Self::stamp_rejected`].
     fn stamp_submit(&self, event: Option<(u64, u64, String)>) {
         if let Some((ticket, fingerprint, detail)) = event {
-            self.backend.recorder().record(EventKind::Submit, ticket, fingerprint, detail);
+            self.engine.recorder().record(EventKind::Submit, ticket, fingerprint, detail);
         }
     }
 
@@ -476,7 +410,7 @@ impl QtdaService {
     /// recorder is disabled (no `Submit` was stamped either).
     fn stamp_rejected(&self, key: Option<(u64, u64)>, reason: &str) {
         if let Some((ticket, fingerprint)) = key {
-            let recorder = self.backend.recorder();
+            let recorder = self.engine.recorder();
             recorder.record(
                 EventKind::Cancel,
                 ticket,
@@ -500,26 +434,9 @@ impl QtdaService {
     }
 
     /// The engine behind the service (for its cache/dedup/unit/QoS
-    /// counters; the engine's cache persists across micro-batches). In
-    /// cluster mode ([`ServiceConfig::shards`] > 1) this is shard 0's
-    /// engine — use [`Self::cluster`] for per-shard and aggregate
-    /// views.
+    /// counters; the engine's cache persists across micro-batches).
     pub fn engine(&self) -> &BatchEngine {
-        match self.backend.as_ref() {
-            Backend::Single(engine) => engine,
-            Backend::Cluster(cluster) => cluster.shard_engine(0),
-        }
-    }
-
-    /// The sharded cluster behind the service, when
-    /// [`ServiceConfig::shards`] > 1 (`None` in classic single-engine
-    /// mode). Exposes per-shard engines/stats, the summed cluster
-    /// stats, and ring probing.
-    pub fn cluster(&self) -> Option<&Arc<ClusterEngine>> {
-        match self.backend.as_ref() {
-            Backend::Single(_) => None,
-            Backend::Cluster(cluster) => Some(cluster),
-        }
+        &self.engine
     }
 
     /// The metrics registry behind this service and its engine. Call
@@ -536,12 +453,11 @@ impl QtdaService {
         self.events.as_ref()
     }
 
-    /// `true` while the service accepts submissions, its batcher
-    /// thread is alive, **and** (in cluster mode) every engine shard's
+    /// `true` while the service accepts submissions and its batcher
     /// thread is alive — exactly what an ops server's `/ready`
     /// endpoint reports.
     pub fn is_ready(&self) -> bool {
-        self.health.is_ready() && self.backend.is_ready()
+        self.health.is_ready()
     }
 
     /// Binds a [`ScrapeServer`] on `addr` (use port 0 for an ephemeral
@@ -552,9 +468,8 @@ impl QtdaService {
     ///   `qtda_service_*` and `qtda_engine_*` metric,
     /// * `GET /metrics.json` — the same snapshot as JSON,
     /// * `GET /health` — `200 ok` while the process is up,
-    /// * `GET /ready` — `200` while accepting and batching (and, in
-    ///   cluster mode, while every shard is alive), `503` after
-    ///   shutdown or a shard death (the probe holds its own handles
+    /// * `GET /ready` — `200` while accepting and batching, `503` after
+    ///   shutdown or a batcher death (the probe holds its own handle
     ///   and outlives the service),
     /// * `GET /events.jsonl` / `GET /abort.jsonl` — flight-recorder
     ///   dumps, when [`Telemetry::events`] configured a recorder.
@@ -564,9 +479,8 @@ impl QtdaService {
     /// scrapes never perturbs results — scraping reads atomics.
     pub fn serve_ops(&self, addr: impl ToSocketAddrs) -> std::io::Result<ScrapeServer> {
         let health = Arc::clone(&self.health);
-        let backend = Arc::clone(&self.backend);
-        let mut state = OpsState::new(Arc::clone(&self.registry))
-            .with_ready_probe(move || health.is_ready() && backend.is_ready());
+        let mut state =
+            OpsState::new(Arc::clone(&self.registry)).with_ready_probe(move || health.is_ready());
         if let Some(recorder) = &self.events {
             state = state.with_recorder(Arc::clone(recorder));
         }
@@ -630,17 +544,16 @@ impl Drop for CloseOnExit<'_> {
 }
 
 /// The batcher thread: gather → serve → stream, until closed and
-/// drained. The backend is the single engine or the shard cluster —
-/// micro-batching policy is identical either way.
+/// drained.
 fn batcher_loop(
-    backend: &Backend,
+    engine: &BatchEngine,
     queue: &SubmissionQueue,
     counters: &Counters,
     health: &ServiceHealth,
     config: ServiceConfig,
 ) {
     let _close_on_exit = CloseOnExit { queue, health };
-    let recorder = backend.recorder();
+    let recorder = engine.recorder();
     while let Some(first) = queue.pop_blocking() {
         let accepted_at = first.accepted_at;
         let mut batch: Vec<(Request, Instant)> = Vec::with_capacity(config.max_batch_size);
@@ -703,7 +616,7 @@ fn batcher_loop(
         // A send only fails when the consumer dropped the ticket —
         // results are simply discarded then, like any lost interest.
         let outcomes =
-            backend.run_batch_streaming_qos(&requests, &|event: SliceEvent| match event {
+            engine.run_batch_streaming_qos(&requests, &|event: SliceEvent| match event {
                 SliceEvent::Slice { job_index, slice_index, result } => {
                     let slice = StreamedSlice { slice_index, result };
                     let _ = parties[job_index].tx.send(TicketEvent::Slice(slice));

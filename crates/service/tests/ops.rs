@@ -17,6 +17,8 @@
 //! * A cancelled ticket leaves a complete flight-recorder chain
 //!   (`submit → cancel → abort`) joined by its ticket id, dumped as
 //!   JSONL both on demand and automatically at the abort.
+//! * A completed ticket's chain runs `submit → batch_formed →
+//!   unit_done` through the same recorder.
 //! * The full ops surface — live registry, ticket traces, flight
 //!   recorder, background window driver, and a scraper hammering the
 //!   HTTP endpoint mid-batch — never changes result bits.
@@ -355,6 +357,36 @@ fn cancelled_ticket_leaves_a_full_flight_record() {
     let (status, body) = http_get(server.local_addr(), "/events.jsonl");
     assert_eq!(status, "HTTP/1.1 200 OK");
     assert!(body.contains("\"kind\":\"submit\""), "journal dump over HTTP");
+    service.shutdown();
+}
+
+/// A completed ticket's journal chains its whole path through the
+/// engine — accepted, batched, estimation units done — joined on its
+/// ticket id, and the ticket's JSONL dump carries the same chain.
+#[test]
+fn completed_ticket_journal_chains_submit_batch_and_unit_done() {
+    let service =
+        QtdaService::with_telemetry(service_config(), Telemetry::with_flight_recorder(1 << 12));
+    let tickets: Vec<Ticket> =
+        (0..6).map(|tag| service.submit(job(tag)).expect("submit")).collect();
+    let probe_id = tickets[0].id();
+    for ticket in tickets {
+        assert!(matches!(ticket.outcome(), TicketOutcome::Completed(_)));
+    }
+
+    let recorder = service.flight_recorder().expect("recorder configured").clone();
+    let kinds: Vec<EventKind> =
+        recorder.events_for_ticket(probe_id).iter().map(|e| e.kind).collect();
+    assert_eq!(kinds.first(), Some(&EventKind::Submit), "chain starts at submission");
+    let batched = kinds
+        .iter()
+        .position(|&k| k == EventKind::BatchFormed)
+        .expect("micro-batch formation journalled");
+    let unit =
+        kinds.iter().rposition(|&k| k == EventKind::UnitDone).expect("estimation units journalled");
+    assert!(batched < unit, "batching precedes the unit work it dispatched: {kinds:?}");
+    let dump = recorder.dump_ticket_jsonl(probe_id);
+    assert!(dump.contains("\"kind\":\"unit_done\""), "unit_done in the ticket's JSONL: {dump}");
     service.shutdown();
 }
 

@@ -1,8 +1,7 @@
 //! Persistence through the serving stack: a persistence job submitted
 //! to the streaming service gets its persistent-Betti rows streamed
 //! with every slice and its diagrams on the final result — bit-identical
-//! to the raw engine across 1/2/8 workers, micro-batch groupings, and
-//! the shards = 2 cluster path.
+//! to the raw engine across 1/2/8 workers and micro-batch groupings.
 
 use qtda_core::estimator::EstimatorConfig;
 use qtda_engine::{BatchEngine, BettiJob, EngineConfig, JobResult};
@@ -90,33 +89,6 @@ fn persistence_streams_bit_identical_to_the_engine_across_worker_counts() {
         }
         service.shutdown();
     }
-}
-
-#[test]
-fn sharded_cluster_serves_identical_persistence_payloads() {
-    let jobs = persistence_jobs();
-    let reference = BatchEngine::new(engine_config(1)).run_batch(&jobs);
-    let service = QtdaService::new(ServiceConfig {
-        engine: engine_config(2),
-        max_batch_size: jobs.len(),
-        max_linger: Duration::from_millis(250),
-        queue_capacity: 64,
-        shards: 2,
-        ..ServiceConfig::default()
-    });
-    assert!(service.cluster().is_some(), "shards = 2 routes through the cluster backend");
-    let tickets: Vec<_> =
-        jobs.iter().map(|j| service.submit(j.clone()).expect("accepting")).collect();
-    for ((i, ticket), reference) in tickets.into_iter().enumerate().zip(&reference) {
-        let (streamed, final_result) = ticket.collect();
-        assert_persistence_streams_match(
-            &streamed,
-            &final_result,
-            reference,
-            &format!("job {i}, 2 shards"),
-        );
-    }
-    service.shutdown();
 }
 
 #[test]

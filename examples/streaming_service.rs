@@ -9,13 +9,7 @@
 //! `Interactive` probe (closes its micro-batch early), a `Bulk`
 //! re-analysis job (yields the queue, still completes), and a window
 //! cancelled mid-stream (`Ticket::cancel` → `Aborted`, arena freed,
-//! cache untouched). The backend is the **2-shard cluster tier**:
-//! every submission is consistent-hash routed onto one of two engine
-//! shards with disjoint LRU key spaces, a deliberately skewed Bulk
-//! burst (all ten jobs homed on one shard) shows the idle shard
-//! stealing whole queued jobs, and the results stay bit-identical to
-//! single-engine serving throughout. The whole run is live on the
-//! **ops surface**: a
+//! cache untouched). The whole run is live on the **ops surface**: a
 //! scrape server bound on loopback answers `/metrics`, `/health`,
 //! `/ready` and the flight-recorder dumps while the stream is in
 //! flight (the example scrapes itself over real TCP to prove it), a
@@ -33,12 +27,11 @@
 use qtda::core::estimator::EstimatorConfig;
 use qtda::data::gearbox::GearboxConfig;
 use qtda::data::windows::sliding_window_stream;
-use qtda::engine::{window_to_job, BettiJob, EngineConfig, GearboxJobSpec};
+use qtda::engine::{window_to_job, EngineConfig, GearboxJobSpec};
 use qtda::service::{
-    EventKind, QosPolicy, QtdaService, RollingWindow, ServiceConfig, Slo, SloTracker, Telemetry,
+    QosPolicy, QtdaService, RollingWindow, ServiceConfig, Slo, SloTracker, Telemetry,
     TicketOutcome, WindowConfig,
 };
-use qtda::tda::point_cloud::PointCloud;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io::{Read, Write};
@@ -64,7 +57,6 @@ fn main() {
     let service = QtdaService::with_telemetry(
         ServiceConfig {
             engine: EngineConfig { batch_seed: 0xBA7C, ..Default::default() },
-            shards: 2, // the cluster tier: 2 engine shards, one registry
             max_batch_size: 8,
             max_linger: Duration::from_millis(4),
             queue_capacity: 64,
@@ -162,25 +154,6 @@ fn main() {
     let probe_result = probe.wait();
     println!("interactive probe: {} slices (query-jumping class)", probe_result.slices.len());
 
-    // ── The cluster tier under deliberate skew ───────────────────────
-    // Ten Bulk jobs all homed (by ring probe) on shard 0, submitted
-    // back-to-back: shard 0 runs its first `max_run` chunk, shard 1 —
-    // idle — steals whole queued jobs from the backlog. Whoever runs
-    // them, seeds derive from content, so the answers don't move.
-    let cluster = service.cluster().expect("shards = 2 runs the cluster backend");
-    let skewed: Vec<BettiJob> = (0..u64::MAX)
-        .map(probe_job)
-        .filter(|j| cluster.route_of(j.fingerprint()) == 0)
-        .take(10)
-        .collect();
-    let burst: Vec<_> = skewed
-        .into_iter()
-        .map(|job| service.submit_with(job, QosPolicy::bulk()).expect("service accepts"))
-        .collect();
-    for ticket in burst {
-        let _ = ticket.outcome();
-    }
-
     // Per-ticket stage breakdowns: where each request's latency went.
     if let Some(trace) = sample_trace {
         println!("\nwindow  0 stage trace:\n{}", trace.render());
@@ -204,7 +177,7 @@ fn main() {
         stats.cancelled,
         stats.deadline_expired,
     );
-    let engine = cluster.stats(); // aggregate across both shards
+    let engine = service.engine().stats();
     println!(
         "engine : {} units over {} batches | cache {} hits / {} misses | {} computed",
         engine.units_executed,
@@ -213,23 +186,6 @@ fn main() {
         engine.cache_misses,
         engine.computed_jobs,
     );
-    // Per-shard view, read back from the ONE shared registry: each
-    // shard's engine publishes the same series under a `shard` label.
-    let snap = service.registry().snapshot();
-    for shard in 0..cluster.shard_count() {
-        let labels = [("shard", shard.to_string())];
-        let labels: Vec<(&str, &str)> = labels.iter().map(|(k, v)| (*k, v.as_str())).collect();
-        let served = snap.counter_with("qtda_engine_jobs_served_total", &labels);
-        let hits = snap.counter_with("qtda_engine_cache_hits_total", &labels);
-        let misses = snap.counter_with("qtda_engine_cache_misses_total", &labels);
-        let routed = snap.counter_with("qtda_cluster_routed_total", &labels);
-        let steals = snap.counter_with("qtda_cluster_steals_total", &labels);
-        println!(
-            "shard {shard}: {routed} routed, {served} served | cache {hits} hits / {misses} \
-             misses ({:.0}% hit rate) | {steals} jobs stolen from peers",
-            100.0 * hits as f64 / (hits + misses).max(1) as f64,
-        );
-    }
     println!(
         "qos    : served {} interactive / {} normal / {} bulk | {} units cancelled, \
          {} jobs cancelled, {} deadline-expired | {} arena bytes live after aborts",
@@ -282,20 +238,6 @@ fn main() {
         println!("── auto-captured abort chain (also at /abort.jsonl) ──");
         print!("{abort}");
     }
-    // The skewed burst's steal hops, straight from the same journal:
-    // `shard_route` put the job on its home shard, `steal` records the
-    // idle shard taking it whole off the backlog.
-    let steals: Vec<_> =
-        recorder.events().into_iter().filter(|e| e.kind == EventKind::Steal).collect();
-    println!("── steal hops in the journal ({} total) ──", steals.len());
-    if let Some(stolen) = steals.first() {
-        for event in recorder.events_for_ticket(stolen.ticket) {
-            if matches!(event.kind, EventKind::Submit | EventKind::ShardRoute | EventKind::Steal) {
-                println!("{}", event.to_json());
-            }
-        }
-    }
-
     // The same exposition every scraper sees — fetched over real TCP
     // from our own ops server, exactly as Prometheus would.
     println!("\n── GET /metrics (scraped over TCP) ──");
@@ -308,23 +250,6 @@ fn main() {
     let ready = scrape_status(&server, "/ready");
     println!("after shutdown, GET /ready → {ready}");
     println!("shut down cleanly in {:.2?} total", start.elapsed());
-}
-
-/// A small probe job whose fingerprint varies with `salt` (one
-/// coordinate nudged by `salt * 1e-9`) — used to find jobs the ring
-/// homes on a chosen shard, so the burst can be deliberately skewed.
-fn probe_job(salt: u64) -> BettiJob {
-    let shift = salt as f64 * 1e-9;
-    let mut coords = Vec::with_capacity(20);
-    for i in 0..10 {
-        let theta = 2.0 * std::f64::consts::PI * (i as f64) / 10.0;
-        coords.push(theta.cos() + shift);
-        coords.push(theta.sin());
-    }
-    let mut job = BettiJob::new(PointCloud::new(2, coords), vec![0.7, 1.1]);
-    job.estimator =
-        EstimatorConfig { precision_qubits: 4, shots: 800, ..EstimatorConfig::default() };
-    job
 }
 
 /// Scrapes our own ops server over TCP, returning the response body.

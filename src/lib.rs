@@ -20,13 +20,9 @@
 //! * [`engine`] — the batched multi-cloud Betti-serving subsystem
 //!   (amortised Rips slicing, `(job, ε, dim)` scheduling, deterministic
 //!   seed streams, LRU result cache);
-//! * [`cluster`] — the sharded multi-engine tier: consistent-hash
-//!   fingerprint routing onto N engine shards with disjoint LRU key
-//!   spaces, QoS-aware cross-shard work stealing, hot-key replication;
-//! * [`service`] — the streaming front-end over the engine (or the
-//!   shard cluster): bounded submission queue with backpressure,
-//!   deadline micro-batching, per-slice result streaming, size-based
-//!   backend dispatch.
+//! * [`service`] — the streaming front-end over the engine: bounded
+//!   submission queue with backpressure, deadline micro-batching,
+//!   per-slice result streaming, size-based backend dispatch.
 //!
 //! ## Quickstart
 //!
@@ -52,7 +48,6 @@
 #![deny(deprecated)]
 #![forbid(unsafe_code)]
 
-pub use qtda_cluster as cluster;
 pub use qtda_core as core;
 pub use qtda_data as data;
 pub use qtda_engine as engine;
