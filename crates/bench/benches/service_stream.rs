@@ -3,20 +3,17 @@
 //! The workload is a Poisson-ish arrival trace of gearbox windows
 //! (deterministic exponential inter-arrivals from a seeded RNG): the
 //! shape of live sliding-window traffic, as opposed to the
-//! pre-assembled batches `batched_gearbox` measures. Two questions:
+//! pre-assembled batches `batched_gearbox` measures. The question is
+//! **first-slice latency**: from a job's arrival to its first streamed
+//! ε-slice (p50/p95). The `run_batch` baseline can only answer after
+//! the *entire* batch completes, so its "first result" latency for
+//! every job is the full batch wall-clock plus the time the job spent
+//! waiting for the batch to assemble.
 //!
-//! * **First-slice latency.** From a job's arrival to its first
-//!   streamed ε-slice (p50/p95). The `run_batch` baseline can only
-//!   answer after the *entire* batch completes, so its "first result"
-//!   latency for every job is the full batch wall-clock plus the time
-//!   the job spent waiting for the batch to assemble.
-//! * **Throughput overhead.** With arrivals compressed to zero, how
-//!   much does the queue + micro-batcher + per-slice channel machinery
-//!   cost over calling `run_batch` directly? (Criterion group at the
-//!   end; the two paths produce bit-identical results, asserted before
-//!   timing.)
+//! The two paths produce bit-identical results, asserted before the
+//! trace is replayed once through each. Service throughput and overhead
+//! are measured end to end by `e2e_serving`.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qtda_core::estimator::EstimatorConfig;
 use qtda_data::gearbox::GearboxConfig;
 use qtda_data::windows::sliding_window_stream;
@@ -129,7 +126,8 @@ fn run_batch_trace(jobs: &[BettiJob], gaps: &[Duration]) -> (Vec<Duration>, Dura
     (latencies, start.elapsed())
 }
 
-fn bench_streaming_latency(c: &mut Criterion) {
+fn main() {
+    // `cargo bench` may pass harness flags like `--bench`; ignore them.
     let jobs = trace_jobs(TRACE_JOBS, 7);
     let gaps = arrival_gaps(TRACE_JOBS, MEAN_INTERARRIVAL, 11);
 
@@ -155,7 +153,7 @@ fn bench_streaming_latency(c: &mut Criterion) {
         }
     }
 
-    // Headline latency comparison, run once outside the statistics loop.
+    // Headline latency comparison.
     let (mut service_lat, service_total) = run_service_trace(&jobs, &gaps);
     let (mut batch_lat, batch_total) = run_batch_trace(&jobs, &gaps);
     service_lat.sort_unstable();
@@ -172,26 +170,4 @@ fn bench_streaming_latency(c: &mut Criterion) {
         percentile(&batch_lat, 0.50),
         percentile(&batch_lat, 0.95),
     );
-
-    // Throughput overhead with arrivals compressed to zero: the cost of
-    // the queue + batcher + channels themselves.
-    let burst = trace_jobs(16, 13);
-    let mut group = c.benchmark_group("service_stream_drain");
-    group.bench_with_input(BenchmarkId::new("service_submit_drain", 16), &burst, |b, jobs| {
-        b.iter(|| {
-            let service = QtdaService::new(service_config());
-            let tickets: Vec<_> =
-                jobs.iter().map(|j| service.submit(j.clone()).expect("accepting")).collect();
-            let out: Vec<_> = tickets.into_iter().map(|t| black_box(t.wait())).collect();
-            service.shutdown();
-            out
-        })
-    });
-    group.bench_with_input(BenchmarkId::new("engine_run_batch", 16), &burst, |b, jobs| {
-        b.iter(|| black_box(BatchEngine::new(engine_config()).run_batch(jobs)))
-    });
-    group.finish();
 }
-
-criterion_group!(benches, bench_streaming_latency);
-criterion_main!(benches);

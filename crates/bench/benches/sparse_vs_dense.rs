@@ -177,7 +177,7 @@ fn main() {
 
     // Gate: the full-subspace run must reproduce the dense spectrum.
     {
-        let ritz = lanczos_ritz_values(&sparse, edges, 99);
+        let ritz = lanczos_ritz_values(&sparse, 99);
         let jacobi = SymEigen::eigenvalues(&dense);
         assert_eq!(ritz.len(), jacobi.len());
         for (a, b) in ritz.iter().zip(&jacobi) {
@@ -188,7 +188,7 @@ fn main() {
 
     let lanczos_reps = 5;
     let plain_lanczos = time_best(lanczos_reps, || {
-        black_box(lanczos_ritz_values(black_box(&sparse), edges, 99));
+        black_box(lanczos_ritz_values(black_box(&sparse), 99));
     });
     println!("lanczos (m={edges})     : {:9.1} µs", us(plain_lanczos));
 
@@ -197,7 +197,7 @@ fn main() {
     // thread-local hooks never touch the numbers above. The runs are
     // deterministic, so one profiled pass is exact.
     let ((), plain_profile) = profiled(|| {
-        black_box(lanczos_ritz_values(black_box(&sparse), edges, 99));
+        black_box(lanczos_ritz_values(black_box(&sparse), 99));
     });
     println!(
         "lanczos cost          : {} matvecs, {} iterations",

@@ -13,9 +13,12 @@
 //! | `appendix_a` | Appendix A: worked example incl. Eq. 17–19 & p(0) |
 //! | `circuits`   | Figs. 2, 6, 7: circuit diagrams and gate censuses |
 //!
-//! The Criterion benches under `benches/` cover the performance of each
-//! substrate kernel and the ablations DESIGN.md lists (padding scheme,
-//! Trotter order/steps, backend cost, rayon scaling).
+//! The five benches under `benches/` are harness-free `main`s, and each
+//! checks its answers before it times anything: `sparse_vs_dense`
+//! (`BENCH_PR8.json`), `betti_curve_incremental` (`BENCH_PR4.json`),
+//! `persistence_serving` (`BENCH_PR10.json`), `batched_gearbox` and
+//! `service_stream`. Serving performance is judged end to end by the
+//! `e2e_serving` benchmark.
 
 #![deny(missing_docs)]
 #![deny(deprecated)]

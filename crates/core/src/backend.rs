@@ -8,7 +8,7 @@
 //! backend-equivalence tests.
 
 use qtda_linalg::eigen::SymEigen;
-use qtda_linalg::lanczos::{lanczos_quadrature, lanczos_ritz_values};
+use qtda_linalg::lanczos::lanczos_ritz_values;
 use qtda_linalg::op::LaplacianOp;
 use qtda_linalg::Mat;
 use qtda_qsim::circuit::Circuit;
@@ -60,37 +60,19 @@ impl QpeBackend for SpectralBackend {
 
 /// Iterative spectral backend: obtains the eigenphases from Lanczos
 /// Ritz values instead of a dense eigendecomposition, touching `H` only
-/// through `matvec`. With a full run (`steps = None` ⇒ `m = dim`, full
-/// reorthogonalisation) the Ritz values are the exact spectrum and the
-/// backend matches [`SpectralBackend`] to solver precision — this is
-/// the sparse pipeline's default. A truncated run (`steps = Some(m)`,
-/// `m < dim`) is **stochastic Lanczos quadrature**: each of
-/// [`Self::SLQ_PROBES`] seeded probes `v` yields an m-point Gaussian
-/// rule (`θ_j` nodes, `τ_j²` first-eigenvector-component weights from
-/// [`tridiagonal_quadrature`](qtda_linalg::tridiagonal_quadrature))
-/// integrating `vᵀf(H)v` exactly through polynomial degree 2m−1, and
-/// averaging the probes estimates the maximally-mixed `tr f(H)/n` —
-/// accurate at m ≪ n, where uniformly averaging m Ritz values (the old
-/// truncated behaviour) is badly biased toward the extremal spectrum.
+/// through `matvec`. The run is a full `dim`-step recurrence with full
+/// reorthogonalisation, so the Ritz values are the exact spectrum and
+/// the backend matches [`SpectralBackend`] to solver precision — this is
+/// the sparse pipeline's default.
 #[derive(Clone, Copy, Debug)]
 pub struct LanczosBackend {
-    /// Lanczos steps; `None` runs the full `m = dim` recurrence (exact).
-    pub steps: Option<usize>,
     /// Seed of the Lanczos start vector (deterministic per seed).
     pub seed: u64,
 }
 
-impl LanczosBackend {
-    /// Deterministic random probes averaged by the truncated
-    /// (`steps = Some(m < dim)`) quadrature path. Each probe costs `m`
-    /// matvecs; eight keep the trace estimator's variance far below the
-    /// shot noise layered on top while staying `O(m·n)` overall.
-    pub const SLQ_PROBES: u64 = 8;
-}
-
 impl Default for LanczosBackend {
     fn default() -> Self {
-        LanczosBackend { steps: None, seed: 0x1A2C_705F }
+        LanczosBackend { seed: 0x1A2C_705F }
     }
 }
 
@@ -100,36 +82,20 @@ impl QpeBackend for LanczosBackend {
     }
 
     fn p_zero(&self, h: &dyn LaplacianOp, precision: usize) -> f64 {
-        let n = h.dim();
-        if n == 0 {
+        if h.dim() == 0 {
             return 0.0;
         }
-        let response = |lambda: f64| {
-            let theta = crate::scaling::eigenvalue_to_phase(lambda);
-            qpe_outcome_probability(theta, precision, 0)
-        };
-        let m = self.steps.map_or(n, |s| s.clamp(1, n));
-        if m < n {
-            // Truncated run: stochastic Lanczos quadrature. Every probe
-            // integrates its own vᵀf(H)v exactly to degree 2m−1; the
-            // probe average estimates the mixed-state trace.
-            let total: f64 = (0..Self::SLQ_PROBES)
-                .map(|i| {
-                    let seed = self.seed.wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                    lanczos_quadrature(h, m, seed)
-                        .iter()
-                        .map(|&(node, weight)| weight * response(node))
-                        .sum::<f64>()
-                })
-                .sum();
-            return total / Self::SLQ_PROBES as f64;
-        }
-        // Full run: the Ritz values are the exact spectrum, so the
-        // uniform average *is* tr f(H)/n (bit-identical to the
-        // pre-quadrature behaviour — the serving default).
-        let ritz = lanczos_ritz_values(h, m, self.seed);
+        // The Ritz values are the exact spectrum, so their uniform
+        // average is tr f(H)/n.
+        let ritz = lanczos_ritz_values(h, self.seed);
         let count = ritz.len() as f64;
-        ritz.iter().map(|&lambda| response(lambda)).sum::<f64>() / count
+        ritz.iter()
+            .map(|&lambda| {
+                let theta = crate::scaling::eigenvalue_to_phase(lambda);
+                qpe_outcome_probability(theta, precision, 0)
+            })
+            .sum::<f64>()
+            / count
     }
 }
 
@@ -288,42 +254,6 @@ mod tests {
                 "p = {precision}: spectral {spectral} vs lanczos(sparse) {lanczos_sparse}"
             );
         }
-    }
-
-    #[test]
-    fn truncated_lanczos_backend_stays_a_probability() {
-        let h = worked_example_h();
-        for steps in 1..=4 {
-            let v = LanczosBackend { steps: Some(steps), ..Default::default() }.p_zero(&h, 3);
-            assert!((0.0..=1.0).contains(&v), "steps = {steps}: p(0) = {v}");
-        }
-    }
-
-    #[test]
-    fn truncated_lanczos_quadrature_is_accurate_at_m_much_less_than_n() {
-        // 32-dim spectrum with a 4-dim kernel, truncated to m = 6 of 32
-        // steps. The quadrature-weighted estimate must track the dense
-        // eigensolve closely — and beat the old uniform-Ritz average,
-        // which is biased toward the extremal spectrum at m ≪ n.
-        let d: Vec<f64> = (0..32).map(|i| if i < 4 { 0.0 } else { 0.5 + 0.1 * i as f64 }).collect();
-        let padded = pad_laplacian(&Mat::from_diag(&d), PaddingScheme::IdentityHalfLambdaMax);
-        let h = rescale(&padded, Delta::Auto);
-        let p = 4;
-        let exact = SpectralBackend.p_zero(&h, p);
-        let backend = LanczosBackend { steps: Some(6), ..Default::default() };
-        let truncated = backend.p_zero(&h, p);
-        assert!((truncated - exact).abs() < 0.05, "SLQ p(0) = {truncated} vs dense {exact}");
-        // The pre-quadrature truncated behaviour, reproduced inline.
-        let ritz = qtda_linalg::lanczos_ritz_values(&h, 6, backend.seed);
-        let naive = ritz
-            .iter()
-            .map(|&l| qpe_outcome_probability(crate::scaling::eigenvalue_to_phase(l), p, 0))
-            .sum::<f64>()
-            / ritz.len() as f64;
-        assert!(
-            (truncated - exact).abs() < (naive - exact).abs(),
-            "quadrature ({truncated}) must beat the uniform Ritz average ({naive}) vs {exact}"
-        );
     }
 
     #[test]

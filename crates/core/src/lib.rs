@@ -51,7 +51,6 @@ pub mod pipeline;
 pub mod query;
 pub mod scaling;
 pub mod spectrum;
-pub mod sweep;
 
 pub use backend::{
     LanczosBackend, QpeBackend, SpectralBackend, StatevectorBackend, TrotterBackend,

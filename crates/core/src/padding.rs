@@ -46,15 +46,6 @@ pub enum LambdaMaxBound {
         /// Seed of the internal start vector.
         seed: u64,
     },
-    /// A caller-supplied bound, trusted as-is. The escape hatch for
-    /// sweeps that compute their own (e.g. warm-started) spectral
-    /// bounds and have already applied a soundness guard — an unsound
-    /// value here aliases top eigenvalues into the QPE zero bin, so
-    /// only hand in values known to dominate the spectrum.
-    Fixed {
-        /// The upper bound to use for `λ̃_max`.
-        bound: f64,
-    },
 }
 
 impl LambdaMaxBound {
@@ -79,7 +70,6 @@ impl LambdaMaxBound {
                     gershgorin
                 }
             }
-            LambdaMaxBound::Fixed { bound } => bound,
         }
     }
 }
@@ -306,21 +296,6 @@ mod tests {
         let exact = SymEigen::eigenvalues(&l).last().copied().unwrap();
         assert!(converged >= exact - 1e-9);
         assert!(converged <= LambdaMaxBound::Gershgorin.resolve(&l));
-    }
-
-    #[test]
-    fn fixed_bound_is_used_verbatim() {
-        let l1 = combinatorial_laplacian(&worked_example_complex(), 1);
-        assert_eq!(LambdaMaxBound::Fixed { bound: 7.25 }.resolve(&l1), 7.25);
-        let padded = pad_operator(
-            &l1,
-            PaddingScheme::IdentityHalfLambdaMax,
-            LambdaMaxBound::Fixed { bound: 6.0 },
-        );
-        // λ̃_max = 6 is the worked example's Gershgorin value, so the
-        // fill matches Eq. 18 exactly.
-        assert_eq!(padded.lambda_max, 6.0);
-        assert_eq!(padded.fill_value(), 3.0);
     }
 
     #[test]

@@ -16,17 +16,21 @@
 use qtda_tda::laplacian_filtration::LaplacianFiltration;
 pub use qtda_tda::persistence::PersistencePair;
 
-/// Panics unless the grid is ascending — persistence mode reads
+/// `true` when the grid is ascending — persistence mode reads
 /// β_k(ε_i, ε_j) for every grid prefix i ≤ j, which needs ε_i ≤ ε_j.
+/// A NaN scale orders nothing, so a grid holding one (next to any
+/// other scale) is not ascending.
+pub fn is_ascending_grid(epsilons: &[f64]) -> bool {
+    epsilons.windows(2).all(|w| w[0] <= w[1])
+}
+
+/// Panics unless [`is_ascending_grid`] holds.
 ///
 /// # Panics
 /// If any consecutive pair of scales decreases (NaNs also panic: they
 /// order nothing).
 pub fn assert_ascending_grid(epsilons: &[f64]) {
-    assert!(
-        epsilons.windows(2).all(|w| w[0] <= w[1]),
-        "persistence mode requires an ascending ε-grid"
-    );
+    assert!(is_ascending_grid(epsilons), "persistence mode requires an ascending ε-grid");
 }
 
 /// The persistence payload of one grid slice at death scale ε_j: for

@@ -96,7 +96,7 @@ impl PaddedSpectrum {
             PaddingScheme::Zeros => (0.0, target - d),
         };
 
-        let mut eigs = lanczos_ritz_values(laplacian, d, seed);
+        let mut eigs = lanczos_ritz_values(laplacian, seed);
         snap_kernel_dust(&mut eigs);
         eigs.extend(std::iter::repeat_n(fill, target - d));
         let phases = eigs.into_iter().map(|l| eigenvalue_to_phase(l * scale)).collect();

@@ -126,7 +126,7 @@ fn check(unit: &Unit) -> u64 {
 
     let dense = laplacian.to_dense();
     let exact = SymEigen::eigenvalues(&dense);
-    let ritz = lanczos_ritz_values(laplacian, n, seed);
+    let ritz = lanczos_ritz_values(laplacian, seed);
     assert_eq!(ritz.len(), n, "{label}");
     for (i, (got, want)) in ritz.iter().zip(&exact).enumerate() {
         assert!((got - want).abs() <= 1e-10, "{label}: λ_{i} = {got} vs {want}");

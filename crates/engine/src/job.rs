@@ -2,6 +2,7 @@
 
 use qtda_core::estimator::EstimatorConfig;
 use qtda_core::padding::{LambdaMaxBound, PaddingScheme};
+use qtda_core::persist::is_ascending_grid;
 use qtda_core::pipeline::DEFAULT_SPARSE_THRESHOLD;
 use qtda_core::scaling::Delta;
 use qtda_tda::point_cloud::{Metric, PointCloud};
@@ -57,6 +58,25 @@ impl BettiJob {
     pub fn with_persistence(mut self) -> Self {
         self.persistence = true;
         self
+    }
+
+    /// Checks that the job can be served: every coordinate and every ε
+    /// is finite, and the grid ascends when persistence is on. Negative
+    /// scales stay legal (they serve empty slices). The service runs
+    /// this at admission, so a malformed job is refused with its cause
+    /// instead of reaching the batcher.
+    pub fn validate(&self) -> Result<(), JobError> {
+        let finite = |xs: &[f64]| xs.iter().all(|x| x.is_finite());
+        if let Some(point) = (0..self.cloud.len()).find(|&i| !finite(self.cloud.point(i))) {
+            return Err(JobError::NonFiniteCoordinate { point });
+        }
+        if let Some(index) = self.epsilons.iter().position(|e| !e.is_finite()) {
+            return Err(JobError::NonFiniteEpsilon { index });
+        }
+        if self.persistence && !is_ascending_grid(&self.epsilons) {
+            return Err(JobError::DescendingGrid);
+        }
+        Ok(())
     }
 
     /// The largest scale in the grid (`−∞` for an empty grid) — the
@@ -140,10 +160,6 @@ impl BettiJob {
                 w.push(iterations as u64);
                 w.push(seed);
             }
-            LambdaMaxBound::Fixed { bound } => {
-                w.push(2);
-                w.push(bound.to_bits());
-            }
         }
         // Appended only when set, so every pre-persistence fingerprint
         // (cache keys, seed roots) is preserved bit for bit.
@@ -153,6 +169,37 @@ impl BettiJob {
         w
     }
 }
+
+/// Why [`BettiJob::validate`] refused a job.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum JobError {
+    /// A coordinate of this point is NaN or infinite.
+    NonFiniteCoordinate {
+        /// Index of the offending point in the cloud.
+        point: usize,
+    },
+    /// This grid scale is NaN or infinite.
+    NonFiniteEpsilon {
+        /// Index of the offending scale in the grid.
+        index: usize,
+    },
+    /// Persistence is on, but the ε-grid does not ascend.
+    DescendingGrid,
+}
+
+impl std::fmt::Display for JobError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            JobError::NonFiniteCoordinate { point } => {
+                write!(f, "point {point} has a non-finite coordinate")
+            }
+            JobError::NonFiniteEpsilon { index } => write!(f, "ε-grid entry {index} is not finite"),
+            JobError::DescendingGrid => write!(f, "persistence mode requires an ascending ε-grid"),
+        }
+    }
+}
+
+impl std::error::Error for JobError {}
 
 /// FNV-1a over 64-bit words: tiny, dependency-free, and stable across
 /// platforms and versions (unlike `DefaultHasher`, whose algorithm is
@@ -282,5 +329,52 @@ mod tests {
         let mut other_shots = base.clone();
         other_shots.estimator.shots = 123;
         assert!(!base.same_request(&other_shots));
+    }
+
+    #[test]
+    fn validate_refuses_non_finite_content_and_descending_persistence_grids() {
+        assert_eq!(BettiJob::new(square_cloud(), vec![0.5, 1.0]).validate(), Ok(()));
+        assert_eq!(
+            BettiJob::new(square_cloud(), vec![-2.0, -0.5]).validate(),
+            Ok(()),
+            "negative scales are legal"
+        );
+        assert_eq!(
+            BettiJob::new(square_cloud(), vec![1.0, 0.5]).validate(),
+            Ok(()),
+            "plain jobs serve any grid order"
+        );
+
+        let nan_cloud = PointCloud::new(2, vec![0.0, 0.0, 1.0, f64::NAN]);
+        assert_eq!(
+            BettiJob::new(nan_cloud, vec![0.5]).validate(),
+            Err(JobError::NonFiniteCoordinate { point: 1 })
+        );
+        assert_eq!(
+            BettiJob::new(square_cloud(), vec![0.5, f64::INFINITY]).validate(),
+            Err(JobError::NonFiniteEpsilon { index: 1 })
+        );
+        assert_eq!(
+            BettiJob::new(square_cloud(), vec![0.9, 0.6]).with_persistence().validate(),
+            Err(JobError::DescendingGrid)
+        );
+    }
+
+    #[test]
+    fn fingerprints_are_stable_across_versions() {
+        // Fingerprints are cache keys and seed roots, so their values
+        // must not move when the word layout is edited. These literals
+        // were recorded once; a change here re-keys every cache and
+        // re-seeds every job.
+        let base = BettiJob::new(square_cloud(), vec![0.5, 1.0]);
+        let mut power = base.clone();
+        power.estimator.lambda_bound = LambdaMaxBound::PowerIteration { iterations: 200, seed: 3 };
+        let mut delta = base.clone();
+        delta.estimator.delta = Delta::Fixed(2.0);
+        let persistence = base.clone().with_persistence();
+        assert_eq!(base.fingerprint(), 0xF037_6E04_77E9_6F56);
+        assert_eq!(power.fingerprint(), 0x0CAA_015F_D34E_331C);
+        assert_eq!(delta.fingerprint(), 0x5BC7_4F2C_20B7_A537);
+        assert_eq!(persistence.fingerprint(), 0x1A8A_65B0_7421_FEC3);
     }
 }

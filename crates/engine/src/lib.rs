@@ -56,7 +56,7 @@ pub use batch::{
 };
 pub use cache::LruCache;
 pub use gearbox::{jobs_from_windows, window_to_job, GearboxJobSpec};
-pub use job::BettiJob;
+pub use job::{BettiJob, JobError};
 pub use qtda_core::query::{AbortReason, CancelToken, Priority, QosPolicy};
 // Re-exported so callers wiring telemetry (the service, examples) need
 // not depend on `qtda-obs` directly.

@@ -5,36 +5,17 @@
 //! complexes the Lanczos process needs only `matvec`s — it is therefore
 //! written against the [`LaplacianOp`] abstraction and works for any
 //! representation (CSR in practice; dense for cross-checks). With full
-//! reorthogonalisation and a complete run (`m = n`) it reproduces the
-//! exact spectrum (used by `qtda-core`'s `PaddedSpectrum` and
-//! `LanczosBackend`); with `m ≪ n` it delivers the extremal Ritz values
-//! and the Gaussian quadrature rule behind stochastic Lanczos
-//! quadrature. Both read the same recurrence.
+//! reorthogonalisation and a complete `n`-step run it reproduces the
+//! exact spectrum used by `qtda-core`'s `PaddedSpectrum` and
+//! `LanczosBackend`.
 
 use crate::op::LaplacianOp;
 use crate::profile;
 
-/// Eigenvalues of a symmetric tridiagonal matrix, ascending: the nodes
-/// of [`tridiagonal_quadrature`] (implicit-shift QL). `diag` is the
-/// diagonal, `off` the subdiagonal (`off.len() == diag.len() − 1`).
+/// Eigenvalues of a symmetric tridiagonal matrix, ascending, by the
+/// implicit-shift QL of EISPACK `tql1`. `diag` is the diagonal, `off`
+/// the subdiagonal (`off.len() == diag.len() − 1`).
 pub fn tridiagonal_eigenvalues(diag: &[f64], off: &[f64]) -> Vec<f64> {
-    tridiagonal_quadrature(diag, off).into_iter().map(|(node, _)| node).collect()
-}
-
-/// Eigenvalues of a symmetric tridiagonal matrix *with* the squared
-/// first components of their eigenvectors — the Gaussian quadrature
-/// rule of the tridiagonal's spectral measure seen from `e₁` (the
-/// implicit-shift QL of EISPACK `tql2`, restricted to the one
-/// eigenvector row that matters). Returns `(node θ_j, weight τ_j²)`
-/// pairs, nodes ascending; the weights are non-negative and sum to 1
-/// (the rotations are orthogonal and the tracked row starts as the unit
-/// vector `e₁`).
-///
-/// For a Lanczos tridiagonal T = QᵀAQ started at unit vector `v`, the
-/// rule integrates `vᵀf(A)v ≈ Σ_j τ_j²·f(θ_j)` exactly for polynomials
-/// of degree ≤ 2m−1 — the classical stochastic-Lanczos-quadrature
-/// identity that makes truncated spectral sums accurate at m ≪ n.
-pub fn tridiagonal_quadrature(diag: &[f64], off: &[f64]) -> Vec<(f64, f64)> {
     let n = diag.len();
     assert!(n > 0, "empty matrix");
     assert_eq!(off.len() + 1, n, "off-diagonal length must be n − 1");
@@ -42,9 +23,6 @@ pub fn tridiagonal_quadrature(diag: &[f64], off: &[f64]) -> Vec<(f64, f64)> {
     // e is padded to length n with a trailing zero (classic tql layout).
     let mut e: Vec<f64> = off.to_vec();
     e.push(0.0);
-    // First row of the accumulated eigenvector matrix, starting at e₁.
-    let mut z = vec![0.0f64; n];
-    z[0] = 1.0;
 
     for l in 0..n {
         let mut iter = 0;
@@ -95,11 +73,6 @@ pub fn tridiagonal_quadrature(diag: &[f64], off: &[f64]) -> Vec<(f64, f64)> {
                 p = s * r;
                 d[i + 1] = shifted + p;
                 g = c * r - b;
-                // The same Givens rotation, applied to the tracked
-                // first eigenvector row.
-                let zf = z[i + 1];
-                z[i + 1] = s * z[i] + c * zf;
-                z[i] = c * z[i] - s * zf;
             }
             if split {
                 continue;
@@ -109,11 +82,8 @@ pub fn tridiagonal_quadrature(diag: &[f64], off: &[f64]) -> Vec<(f64, f64)> {
             e[m] = 0.0;
         }
     }
-    let mut pairs: Vec<(f64, f64)> =
-        d.into_iter().zip(z).map(|(node, zi)| (node, zi * zi)).collect();
-    // Stable sort by node, weights riding along.
-    pairs.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("NaN eigenvalue"));
-    pairs
+    d.sort_by(|a, b| a.partial_cmp(b).expect("NaN eigenvalue"));
+    d
 }
 
 /// The internal xorshift stream (keeps linalg dependency-free).
@@ -127,45 +97,24 @@ fn xorshift(seed: u64) -> impl FnMut() -> f64 {
     }
 }
 
-/// Runs `m` Lanczos iterations with full reorthogonalisation and
-/// returns the Ritz values. With `m = n` this is the exact spectrum.
-/// Deterministic given `seed`, bit-identical at any worker count.
-pub fn lanczos_ritz_values<A: LaplacianOp + ?Sized>(a: &A, m: usize, seed: u64) -> Vec<f64> {
-    let (alphas, betas) = lanczos_tridiagonal(a, m, seed);
+/// Runs the full (`n`-step) Lanczos recurrence with full
+/// reorthogonalisation and returns the Ritz values: the exact spectrum,
+/// ascending. Deterministic given `seed`, bit-identical at any worker
+/// count.
+pub fn lanczos_ritz_values<A: LaplacianOp + ?Sized>(a: &A, seed: u64) -> Vec<f64> {
+    let (alphas, betas) = lanczos_tridiagonal(a, seed);
     if alphas.is_empty() {
         return Vec::new();
     }
-    tridiagonal_eigenvalues(&alphas, &betas[..alphas.len().saturating_sub(1)])
-}
-
-/// The Gaussian quadrature rule of `a`'s spectral measure seen from the
-/// seeded Lanczos start vector `v`: `m` recurrence steps, then
-/// [`tridiagonal_quadrature`] on the resulting coefficients. The
-/// returned `Σ_j τ_j²·f(θ_j)` equals `vᵀf(A)v` exactly for polynomial
-/// `f` of degree ≤ 2m−1 — the estimate a truncated run should average,
-/// rather than treating m Ritz values as if they were the whole
-/// spectrum. Nodes are bit-identical to [`lanczos_ritz_values`] under
-/// the same `(a, m, seed)` (one recurrence, one QL body).
-///
-/// An invariant-subspace restart (β = 0) splits the tridiagonal into
-/// blocks the rotations never mix, so restarted blocks get zero weight:
-/// the rule still integrates `vᵀf(A)v` for the *original* start vector
-/// exactly, which is the quantity being estimated.
-pub fn lanczos_quadrature<A: LaplacianOp + ?Sized>(a: &A, m: usize, seed: u64) -> Vec<(f64, f64)> {
-    let (alphas, betas) = lanczos_tridiagonal(a, m, seed);
-    if alphas.is_empty() {
-        return Vec::new();
-    }
-    tridiagonal_quadrature(&alphas, &betas[..alphas.len().saturating_sub(1)])
+    tridiagonal_eigenvalues(&alphas, &betas[..alphas.len() - 1])
 }
 
 /// The Lanczos three-term recurrence with full reorthogonalisation:
-/// up to `m` iterations from the seeded random start vector, returning
-/// the tridiagonal coefficients `(α, β)` (`β.len() ≥ α.len() − 1`; the
-/// eigen-consumers slice to exactly that). The one body behind
-/// [`lanczos_ritz_values`] and [`lanczos_quadrature`].
+/// up to `n` iterations from the seeded random start vector, returning
+/// the tridiagonal coefficients `(α, β)` (`β.len() ≥ α.len() − 1`;
+/// [`lanczos_ritz_values`] slices to exactly that).
 ///
-/// * The basis lives in one preallocated column-major `n × m` slab, so
+/// * The basis lives in one preallocated column-major `n × n` slab, so
 ///   no step allocates.
 /// * Each residual is reorthogonalised against the whole basis by
 ///   classical Gram–Schmidt ([`gram_schmidt`]) under the Kahan–Parlett
@@ -176,30 +125,25 @@ pub fn lanczos_quadrature<A: LaplacianOp + ?Sized>(a: &A, m: usize, seed: u64) -
 /// * Every inner product takes the fixed-order [`dot`], and the matvec
 ///   sums its rows in a fixed order, so the coefficients are
 ///   bit-identical at any worker count.
-fn lanczos_tridiagonal<A: LaplacianOp + ?Sized>(
-    a: &A,
-    m: usize,
-    seed: u64,
-) -> (Vec<f64>, Vec<f64>) {
+fn lanczos_tridiagonal<A: LaplacianOp + ?Sized>(a: &A, seed: u64) -> (Vec<f64>, Vec<f64>) {
     let n = a.dim();
     if n == 0 {
         return (Vec::new(), Vec::new());
     }
-    let m = m.clamp(1, n);
     let mut next = xorshift(seed);
 
     // Basis column j is `basis[j·n..(j + 1)·n]`.
-    let mut basis = vec![0.0f64; n * m];
-    let mut alphas: Vec<f64> = Vec::with_capacity(m);
-    let mut betas: Vec<f64> = Vec::with_capacity(m);
+    let mut basis = vec![0.0f64; n * n];
+    let mut alphas: Vec<f64> = Vec::with_capacity(n);
+    let mut betas: Vec<f64> = Vec::with_capacity(n);
     // The Gram–Schmidt coefficients and the matvec / residual scratch.
-    let mut h = vec![0.0f64; m];
+    let mut h = vec![0.0f64; n];
     let mut w = vec![0.0f64; n];
 
     basis[..n].fill_with(&mut next);
     normalise(&mut basis[..n]);
 
-    for j in 0..m {
+    for j in 0..n {
         let (done, rest) = basis.split_at_mut((j + 1) * n);
         let v = &done[j * n..];
         a.matvec_into(v, &mut w);
@@ -209,7 +153,7 @@ fn lanczos_tridiagonal<A: LaplacianOp + ?Sized>(
         });
         let alpha = dot(&w, v);
         alphas.push(alpha);
-        if j + 1 == m {
+        if j + 1 == n {
             break;
         }
         axpy(-alpha, v, &mut w);
@@ -344,9 +288,9 @@ mod tests {
         })
     }
 
-    /// Kernel dimension of a full (`m = n`) Lanczos run.
+    /// Kernel dimension of a full Lanczos run.
     fn lanczos_kernel_dim(a: &CsrMatrix, tol: f64, seed: u64) -> usize {
-        lanczos_ritz_values(a, a.n_rows(), seed).iter().filter(|l| l.abs() <= tol).count()
+        lanczos_ritz_values(a, seed).iter().filter(|l| l.abs() <= tol).count()
     }
 
     #[test]
@@ -426,7 +370,7 @@ mod tests {
             vec![0.0, 0.0, 0.0, -1.0, 1.0, 2.0],
         ]);
         let csr = CsrMatrix::from_dense(&m, 0.0);
-        let lanczos = lanczos_ritz_values(&csr, 6, 17);
+        let lanczos = lanczos_ritz_values(&csr, 17);
         let jacobi = SymEigen::eigenvalues(&m);
         assert_spectra_match(&lanczos, &jacobi, 1e-8);
     }
@@ -444,35 +388,9 @@ mod tests {
         let raw = Mat::from_fn(n, n, |_, _| next());
         let sym = raw.add(&raw.transpose()).scale(0.5);
         let csr = CsrMatrix::from_dense(&sym, 0.0);
-        let lanczos = lanczos_ritz_values(&csr, n, 3);
+        let lanczos = lanczos_ritz_values(&csr, 3);
         let jacobi = SymEigen::eigenvalues(&sym);
         assert_spectra_match(&lanczos, &jacobi, 1e-7);
-    }
-
-    #[test]
-    fn partial_lanczos_brackets_extremal_eigenvalues() {
-        // 60×60 path Laplacian; 20 iterations must capture λ_min ≈ 0 and
-        // λ_max ≈ 4 well.
-        let n = 60;
-        let triplets: Vec<_> = (0..n)
-            .flat_map(|i| {
-                let d = if i == 0 || i == n - 1 { 1.0 } else { 2.0 };
-                let mut row = vec![(i, i, d)];
-                if i + 1 < n {
-                    row.push((i, i + 1, -1.0));
-                    row.push((i + 1, i, -1.0));
-                }
-                row
-            })
-            .collect();
-        let csr = CsrMatrix::from_triplets(n, n, triplets);
-        let ritz = lanczos_ritz_values(&csr, 20, 5);
-        let min = ritz.first().copied().unwrap();
-        let max = ritz.last().copied().unwrap();
-        // Extremal Ritz values converge first but not to machine
-        // precision in 20 of 60 iterations; brackets are what matters.
-        assert!(min.abs() < 0.01, "kernel Ritz value: {min}");
-        assert!((max - 3.9973).abs() < 0.01, "top Ritz value: {max}");
     }
 
     #[test]
@@ -501,7 +419,7 @@ mod tests {
     #[test]
     fn empty_matrix() {
         let csr = CsrMatrix::from_triplets(0, 0, Vec::<(usize, usize, f64)>::new());
-        assert!(lanczos_ritz_values(&csr, 3, 1).is_empty());
+        assert!(lanczos_ritz_values(&csr, 1).is_empty());
     }
 
     #[test]
@@ -534,104 +452,9 @@ mod tests {
     fn full_lanczos_matches_jacobi_on_random_psd_matrices() {
         for (n, seed) in [(6usize, 17u64), (24, 3), (40, 9), (96, 5)] {
             let csr = random_psd(n, seed);
-            let lanczos = lanczos_ritz_values(&csr, n, 17);
+            let lanczos = lanczos_ritz_values(&csr, 17);
             let jacobi = SymEigen::eigenvalues(&csr.to_dense());
             assert_spectra_match(&lanczos, &jacobi, 1e-9);
         }
-    }
-
-    #[test]
-    fn tridiagonal_quadrature_known_cases() {
-        // 1×1: the whole measure sits on the single eigenvalue.
-        assert_eq!(tridiagonal_quadrature(&[5.5], &[]), vec![(5.5, 1.0)]);
-        // Diagonal: e₁ is already an eigenvector, so all weight lands
-        // on d[0] and none on the others.
-        let quad = tridiagonal_quadrature(&[3.0, -1.0, 2.0], &[0.0, 0.0]);
-        let on_three: f64 = quad.iter().filter(|&&(node, _)| node == 3.0).map(|&(_, w)| w).sum();
-        assert!((on_three - 1.0).abs() < 1e-14, "{quad:?}");
-        assert!((quad.iter().map(|&(_, w)| w).sum::<f64>() - 1.0).abs() < 1e-14);
-    }
-
-    #[test]
-    fn tridiagonal_quadrature_nodes_match_eigenvalues_and_moments() {
-        let diag = vec![2.0, 1.5, 3.0, 0.5, 2.5];
-        let off = vec![-1.0, 0.7, -0.3, 0.9];
-        let quad = tridiagonal_quadrature(&diag, &off);
-        let nodes = tridiagonal_eigenvalues(&diag, &off);
-        assert_eq!(quad.len(), nodes.len());
-        for (&(node, w), expect) in quad.iter().zip(&nodes) {
-            assert_eq!(node.to_bits(), expect.to_bits(), "identical QL node arithmetic");
-            assert!(w >= 0.0);
-        }
-        // Weighted power sums reproduce (T^p)₀₀: p = 0 → 1, p = 1 →
-        // d₀, p = 2 → d₀² + e₀², p = 3 → d₀³ + 2d₀e₀² + d₁e₀².
-        let moment = |p: i32| quad.iter().map(|&(t, w)| w * t.powi(p)).sum::<f64>();
-        assert!((moment(0) - 1.0).abs() < 1e-12);
-        assert!((moment(1) - diag[0]).abs() < 1e-12);
-        assert!((moment(2) - (diag[0] * diag[0] + off[0] * off[0])).abs() < 1e-12);
-        let t3 = diag[0].powi(3) + 2.0 * diag[0] * off[0] * off[0] + diag[1] * off[0] * off[0];
-        assert!((moment(3) - t3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn lanczos_quadrature_is_exact_to_gaussian_degree() {
-        // An m-point Gaussian rule integrates vᵀ p(A) v exactly for
-        // polynomials of degree ≤ 2m−1. Regenerate the seeded start
-        // vector and compare every power moment A^p against the rule.
-        let n = 18;
-        let m = 5;
-        let seed = 21;
-        let csr = random_psd(n, 33);
-        let quad = lanczos_quadrature(&csr, m, seed);
-        assert_eq!(quad.len(), m);
-        assert!((quad.iter().map(|&(_, w)| w).sum::<f64>() - 1.0).abs() < 1e-10);
-        assert!(quad.iter().all(|&(_, w)| w >= -1e-14));
-        let mut next = xorshift(seed);
-        let mut v: Vec<f64> = (0..n).map(|_| next()).collect();
-        normalise(&mut v);
-        let mut power = v.clone();
-        for p in 0..2 * m as i32 {
-            let from_rule: f64 = quad.iter().map(|&(node, w)| w * node.powi(p)).sum();
-            let direct = dot(&v, &power);
-            assert!(
-                (from_rule - direct).abs() < 1e-7 * direct.abs().max(1.0),
-                "degree {p}: rule {from_rule} vs direct {direct}"
-            );
-            let mut nxt = vec![0.0; n];
-            csr.matvec_into(&power, &mut nxt);
-            power = nxt;
-        }
-    }
-
-    #[test]
-    fn lanczos_quadrature_nodes_are_bit_identical_to_ritz_values() {
-        for (n, m, seed) in [(24usize, 24usize, 3u64), (24, 7, 3), (40, 12, 9)] {
-            let csr = random_psd(n, seed.wrapping_mul(97));
-            let quad = lanczos_quadrature(&csr, m, seed);
-            let ritz = lanczos_ritz_values(&csr, m, seed);
-            assert_eq!(quad.len(), ritz.len());
-            for (&(node, _), r) in quad.iter().zip(&ritz) {
-                assert_eq!(node.to_bits(), r.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn lanczos_quadrature_handles_restarts_and_edges() {
-        // Degenerate two-component Laplacian forces the restart path
-        // (β = 0 block split): weights must still be a probability
-        // vector over the original start's measure.
-        let m = Mat::from_rows(&[
-            vec![1.0, -1.0, 0.0, 0.0],
-            vec![-1.0, 1.0, 0.0, 0.0],
-            vec![0.0, 0.0, 1.0, -1.0],
-            vec![0.0, 0.0, -1.0, 1.0],
-        ]);
-        let csr = CsrMatrix::from_dense(&m, 0.0);
-        let quad = lanczos_quadrature(&csr, 4, 11);
-        assert!((quad.iter().map(|&(_, w)| w).sum::<f64>() - 1.0).abs() < 1e-10);
-        // Empty operator: empty rule.
-        let empty = CsrMatrix::from_triplets(0, 0, Vec::<(usize, usize, f64)>::new());
-        assert!(lanczos_quadrature(&empty, 3, 1).is_empty());
     }
 }

@@ -47,7 +47,7 @@ pub mod sparse;
 pub use cmatrix::CMat;
 pub use complex::C64;
 pub use eigen::SymEigen;
-pub use lanczos::{lanczos_quadrature, lanczos_ritz_values, tridiagonal_quadrature};
+pub use lanczos::lanczos_ritz_values;
 pub use matrix::Mat;
 pub use op::LaplacianOp;
 pub use profile::SolveProfile;

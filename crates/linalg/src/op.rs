@@ -215,128 +215,8 @@ pub fn lambda_max_power_checked<A: LaplacianOp + ?Sized>(
     PowerBound { estimate: rayleigh + residual, converged }
 }
 
-/// Where an adaptive power iteration starts.
-#[derive(Clone, Copy, Debug)]
-pub enum PowerStart<'a> {
-    /// Cold: a seeded xorshift start vector (the classic behaviour).
-    Seed(u64),
-    /// Warm: resume from a previous iterate — e.g. the converged top
-    /// eigenvector of a *prefix* of the same matrix during an ascending
-    /// filtration sweep, where the dominant eigenspace moves slowly.
-    /// Coordinates past `vector.len()` (the prefix grew) are filled
-    /// from the seeded stream so genuinely new directions are never
-    /// starved; a (near-)zero warm vector falls back to a cold start.
-    Warm {
-        /// The previous iterate (length ≤ the operator dimension).
-        vector: &'a [f64],
-        /// Seed for the trailing fill / degenerate-vector fallback.
-        fill_seed: u64,
-    },
-}
-
-/// Outcome of [`lambda_max_power_adaptive`]: the residual-inflated
-/// bound, the convergence verdict, how many matvecs it took, and the
-/// final iterate (normalised) — the warm-start handoff for the next,
-/// larger prefix of the operator.
-#[derive(Clone, Debug)]
-pub struct PowerRun {
-    /// `ρ + ‖Av − ρv‖` at the final iterate.
-    pub estimate: f64,
-    /// The final Rayleigh quotient ρ on its own. For a symmetric
-    /// operator any Rayleigh quotient is a **lower bound** on λ_max,
-    /// which makes even an unconverged run a witness against another
-    /// run's claimed upper bound (the stale-warm-start guard).
-    pub rayleigh: f64,
-    /// Residual under [`POWER_CONVERGENCE_RTOL`] relative to ρ.
-    pub converged: bool,
-    /// Matvecs actually spent (≤ `max_iterations`; early exit on
-    /// convergence is the whole point of warm starting).
-    pub iterations: usize,
-    /// The final normalised iterate.
-    pub vector: Vec<f64>,
-}
-
-/// Power iteration with **early exit** and an optional **warm start**:
-/// runs until the Rayleigh residual converges or `max_iterations` is
-/// spent, whichever comes first, and reports the matvec count. Unlike
-/// [`lambda_max_power_checked`] (fixed iteration count, bit-stable
-/// across callers) this trades determinism-of-cost for adaptivity —
-/// the returned bound carries the same Rayleigh-residual inflation and
-/// the same convergence caveat, so callers needing soundness must
-/// still guard a non-converged run with Gershgorin.
-pub fn lambda_max_power_adaptive<A: LaplacianOp + ?Sized>(
-    a: &A,
-    max_iterations: usize,
-    start: PowerStart<'_>,
-) -> PowerRun {
-    let n = a.dim();
-    if n == 0 {
-        return PowerRun {
-            estimate: 0.0,
-            rayleigh: 0.0,
-            converged: true,
-            iterations: 0,
-            vector: Vec::new(),
-        };
-    }
-    let mut v: Vec<f64> = match start {
-        PowerStart::Seed(seed) => {
-            let mut next = xorshift_stream(seed);
-            (0..n).map(|_| next()).collect()
-        }
-        PowerStart::Warm { vector, fill_seed } => {
-            let mut next = xorshift_stream(fill_seed);
-            let head = vector.len().min(n);
-            let warm_norm = vector[..head].iter().map(|x| x * x).sum::<f64>().sqrt();
-            if warm_norm < 1e-12 {
-                // A degenerate warm vector would collapse the iteration.
-                (0..n).map(|_| next()).collect()
-            } else {
-                vector[..head].iter().copied().chain((head..n).map(|_| next())).collect()
-            }
-        }
-    };
-    normalise(&mut v);
-    let mut rayleigh = 0.0;
-    let mut residual = f64::INFINITY;
-    let mut iterations = 0;
-    let mut av = vec![0.0f64; n];
-    for _ in 0..max_iterations.max(1) {
-        a.matvec_into(&v, &mut av);
-        crate::profile::record(|p| p.matvecs += 1);
-        iterations += 1;
-        rayleigh = dot(&av, &v);
-        residual = av
-            .iter()
-            .zip(&v)
-            .map(|(x, y)| (x - rayleigh * y) * (x - rayleigh * y))
-            .sum::<f64>()
-            .sqrt();
-        let norm = av.iter().map(|x| x * x).sum::<f64>().sqrt();
-        if norm < 1e-14 {
-            return PowerRun {
-                estimate: 0.0,
-                rayleigh: 0.0,
-                converged: true,
-                iterations,
-                vector: v,
-            };
-        }
-        for x in &mut av {
-            *x /= norm;
-        }
-        std::mem::swap(&mut v, &mut av);
-        if residual <= POWER_CONVERGENCE_RTOL * rayleigh.abs().max(f64::MIN_POSITIVE) {
-            break;
-        }
-    }
-    let converged = residual <= POWER_CONVERGENCE_RTOL * rayleigh.abs().max(f64::MIN_POSITIVE);
-    PowerRun { estimate: rayleigh + residual, rayleigh, converged, iterations, vector: v }
-}
-
-/// The dependency-free xorshift stream behind every power-iteration
-/// start vector (centralised so cold and warm starts draw identical
-/// coordinates from identical seeds).
+/// The dependency-free xorshift stream behind the power-iteration
+/// start vector.
 fn xorshift_stream(seed: u64) -> impl FnMut() -> f64 {
     let mut state = seed | 1;
     move || {
@@ -408,68 +288,6 @@ mod tests {
         let scaled_dense = m.scale_by(0.25);
         let scaled_sparse = csr.scale_by(0.25);
         assert!(scaled_sparse.to_dense().max_abs_diff(&scaled_dense) < 1e-15);
-    }
-
-    #[test]
-    fn adaptive_power_iteration_converges_and_reports_cost() {
-        let m = laplacian_path4();
-        let exact = SymEigen::eigenvalues(&m).last().copied().unwrap();
-        let cold = lambda_max_power_adaptive(&m, 10_000, PowerStart::Seed(42));
-        assert!(cold.converged, "path-4 must converge within the cap");
-        assert!(cold.iterations < 10_000, "early exit must fire");
-        assert!(cold.estimate >= exact - 1e-9);
-        assert!(cold.estimate <= exact * 1.01 + 1e-9);
-        assert_eq!(cold.vector.len(), 4);
-
-        // Warm-restarting from the converged vector is (near-)free.
-        let warm = lambda_max_power_adaptive(
-            &m,
-            10_000,
-            PowerStart::Warm { vector: &cold.vector, fill_seed: 7 },
-        );
-        assert!(warm.converged);
-        assert!(
-            warm.iterations * 4 <= cold.iterations.max(4),
-            "warm {} vs cold {} iterations",
-            warm.iterations,
-            cold.iterations
-        );
-        // The bound carries its residual inflation (≤ rtol · ρ).
-        assert!(warm.estimate >= exact - 1e-9);
-        assert!((warm.estimate - exact).abs() < 1e-4);
-    }
-
-    #[test]
-    fn warm_start_fills_new_coordinates_and_survives_degenerate_vectors() {
-        // Grown prefix: warm vector shorter than the operator.
-        let m = laplacian_path4();
-        let prefix = lambda_max_power_adaptive(
-            &Mat::from_rows(&[vec![1.0, -1.0], vec![-1.0, 1.0]]),
-            1000,
-            PowerStart::Seed(3),
-        );
-        let grown = lambda_max_power_adaptive(
-            &m,
-            10_000,
-            PowerStart::Warm { vector: &prefix.vector, fill_seed: 5 },
-        );
-        let exact = SymEigen::eigenvalues(&m).last().copied().unwrap();
-        assert!(grown.converged);
-        assert!(grown.estimate >= exact - 1e-9, "grown warm start must still bound λ_max");
-        // All-zero warm vector must fall back to a seeded start, not
-        // silently report λ_max = 0 for a nonzero operator.
-        let degenerate = lambda_max_power_adaptive(
-            &m,
-            10_000,
-            PowerStart::Warm { vector: &[0.0, 0.0, 0.0, 0.0], fill_seed: 11 },
-        );
-        assert!(degenerate.converged);
-        assert!(degenerate.estimate >= exact - 1e-9);
-        // Zero operator still reports zero, converged.
-        let zero = CsrMatrix::from_triplets(3, 3, Vec::<(usize, usize, f64)>::new());
-        let run = lambda_max_power_adaptive(&zero, 100, PowerStart::Seed(1));
-        assert_eq!(run.estimate, 0.0);
-        assert!(run.converged);
     }
 
     #[test]

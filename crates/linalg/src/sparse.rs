@@ -150,72 +150,6 @@ impl CsrMatrix {
         CsrMatrix { n_rows, n_cols, row_ptr, col_idx, values }
     }
 
-    /// The matrix obtained by adding `(row, col)`-sorted `triplets` to
-    /// `self`, optionally **growing** to `n_rows × n_cols` — the
-    /// incremental "extend from the previous slice" path for ascending
-    /// ε-grids: the Laplacian at ε′ > ε is the ε matrix plus the
-    /// triplets activated in `(ε, ε′]`, which may touch both old rows
-    /// (a new coface coupling two old simplices) and the appended ones.
-    /// One linear merge pass, `O(nnz + triplets.len() + n_rows)`; entry
-    /// sums that cancel to exact zero are dropped, so the result is
-    /// identical to a from-scratch [`Self::from_sorted_triplets`] over
-    /// the concatenated triplet streams whenever the sums are exact
-    /// (integer-valued Laplacians are).
-    pub fn merge_sorted_triplets(
-        &self,
-        n_rows: usize,
-        n_cols: usize,
-        triplets: &[(u32, u32, f64)],
-    ) -> Self {
-        assert!(n_rows >= self.n_rows && n_cols >= self.n_cols, "merge must not shrink");
-        debug_assert!(
-            triplets.windows(2).all(|w| (w[0].0, w[0].1) <= (w[1].0, w[1].1)),
-            "triplets must be sorted by (row, col)"
-        );
-        let mut row_ptr = Vec::with_capacity(n_rows + 1);
-        let mut col_idx = Vec::with_capacity(self.values.len() + triplets.len());
-        let mut values = Vec::with_capacity(self.values.len() + triplets.len());
-        row_ptr.push(0);
-        let mut t = 0usize; // cursor into `triplets`
-        let push = |c: u32, v: f64, col_idx: &mut Vec<u32>, values: &mut Vec<f64>| {
-            assert!((c as usize) < n_cols, "triplet out of bounds");
-            if v != 0.0 {
-                col_idx.push(c);
-                values.push(v);
-            }
-        };
-        for r in 0..n_rows {
-            let (mut lo, hi) =
-                if r < self.n_rows { (self.row_ptr[r], self.row_ptr[r + 1]) } else { (0, 0) };
-            while t < triplets.len() && (triplets[t].0 as usize) == r {
-                let c = triplets[t].1;
-                // Emit existing entries strictly left of the new column.
-                while lo < hi && self.col_idx[lo] < c {
-                    push(self.col_idx[lo], self.values[lo], &mut col_idx, &mut values);
-                    lo += 1;
-                }
-                // Fold every duplicate of (r, c) — old entry included.
-                let mut v = 0.0;
-                if lo < hi && self.col_idx[lo] == c {
-                    v = self.values[lo];
-                    lo += 1;
-                }
-                while t < triplets.len() && (triplets[t].0 as usize) == r && triplets[t].1 == c {
-                    v += triplets[t].2;
-                    t += 1;
-                }
-                push(c, v, &mut col_idx, &mut values);
-            }
-            while lo < hi {
-                push(self.col_idx[lo], self.values[lo], &mut col_idx, &mut values);
-                lo += 1;
-            }
-            row_ptr.push(col_idx.len());
-        }
-        assert!(t == triplets.len(), "triplet row out of bounds");
-        CsrMatrix { n_rows, n_cols, row_ptr, col_idx, values }
-    }
-
     /// Converts a dense matrix (entries with |v| ≤ `drop_tol` dropped).
     pub fn from_dense(m: &crate::Mat, drop_tol: f64) -> Self {
         let mut triplets = Vec::new();
@@ -427,30 +361,6 @@ mod tests {
         let empty = CsrMatrix::from_sorted_triplets(2, 2, &[]);
         assert_eq!(empty.nnz(), 0);
         assert_eq!(empty.n_rows(), 2);
-    }
-
-    #[test]
-    fn merge_sorted_triplets_equals_full_rebuild() {
-        // Prefix of a growing Laplacian-like matrix…
-        let first = vec![(0u32, 0u32, 1.0), (0, 1, -1.0), (1, 0, -1.0), (1, 1, 1.0)];
-        // …extended by triplets touching old rows, cancelling an old
-        // entry, and introducing new trailing rows.
-        let second = vec![
-            (0u32, 1u32, 1.0), // cancels the old (0,1) = −1 exactly
-            (0, 2, -1.0),
-            (1, 1, 1.0),
-            (2, 0, -1.0),
-            (2, 2, 2.0),
-        ];
-        let base = CsrMatrix::from_sorted_triplets(2, 2, &first);
-        let merged = base.merge_sorted_triplets(3, 3, &second);
-        let all: Vec<(usize, usize, f64)> =
-            first.iter().chain(&second).map(|&(r, c, v)| (r as usize, c as usize, v)).collect();
-        let rebuilt = CsrMatrix::from_triplets(3, 3, all);
-        assert_eq!(merged, rebuilt, "merge must be indistinguishable from a rebuild");
-        assert_eq!(merged.to_dense()[(0, 1)], 0.0);
-        // No-op merge keeps the matrix bit-identical.
-        assert_eq!(base.merge_sorted_triplets(2, 2, &[]), base);
     }
 
     #[test]

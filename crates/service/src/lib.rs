@@ -21,6 +21,9 @@
 //!   [`QtdaService::try_submit`] refuses with
 //!   [`SubmitError::Overloaded`] instead of letting latency hide in an
 //!   unbounded buffer, and [`QtdaService::submit`] blocks.
+//! * **Admission.** Both run [`BettiJob::validate`](qtda_engine::BettiJob::validate)
+//!   first and refuse a malformed job with [`SubmitError::Invalid`], so
+//!   it never reaches the batcher or its micro-batch neighbours.
 //! * **Streaming results.** Each [`Ticket`] yields per-ε
 //!   [`SliceResult`](qtda_engine::SliceResult)s *as their estimation
 //!   units complete* — the engine's incremental-completion hook fires
@@ -73,8 +76,8 @@ pub use dispatch::{serving_policy, validating_policy, BackendKind, DispatchPolic
 // re-exported so callers can build a [`Telemetry`], serve scrapes, and
 // wire burn-rate alerts without depending on `qtda-obs` directly.
 pub use qtda_engine::{
-    AbortReason, CancelToken, Event, EventKind, FlightRecorder, MetricsRegistry, MetricsSnapshot,
-    Priority, QosPolicy,
+    AbortReason, CancelToken, Event, EventKind, FlightRecorder, JobError, MetricsRegistry,
+    MetricsSnapshot, Priority, QosPolicy,
 };
 pub use qtda_obs::{
     OpsState, RollingWindow, ScrapeServer, Slo, SloObjective, SloStatus, SloTracker, WindowConfig,

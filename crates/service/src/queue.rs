@@ -30,7 +30,7 @@
 //! batcher waits, with a deadline while lingering for a micro-batch).
 
 use crate::ticket::TicketEvent;
-use qtda_engine::{BettiJob, Priority, QosPolicy, Tracer};
+use qtda_engine::{BettiJob, JobError, Priority, QosPolicy, Tracer};
 use qtda_obs::Gauge;
 use std::collections::VecDeque;
 use std::sync::mpsc::Sender;
@@ -60,20 +60,23 @@ pub(crate) struct Request {
 /// Why a submission was not accepted. Boxed so the error path stays as
 /// cheap to return as the success path (a `BettiJob` carries a whole
 /// point cloud).
-#[derive(Debug)]
 pub enum SubmitError {
     /// The bounded queue is full — backpressure. The job is handed back
     /// so the producer can retry, shed, or block via `submit`.
     Overloaded(Box<BettiJob>),
     /// The service is shutting down and accepts no new work.
     ShuttingDown(Box<BettiJob>),
+    /// The job failed [`BettiJob::validate`] and was never queued.
+    Invalid(Box<BettiJob>, JobError),
 }
 
 impl SubmitError {
     /// Recovers the job that was not accepted.
     pub fn into_job(self) -> BettiJob {
         match self {
-            SubmitError::Overloaded(job) | SubmitError::ShuttingDown(job) => *job,
+            SubmitError::Overloaded(job)
+            | SubmitError::ShuttingDown(job)
+            | SubmitError::Invalid(job, _) => *job,
         }
     }
 }
@@ -83,7 +86,29 @@ impl std::fmt::Display for SubmitError {
         match self {
             SubmitError::Overloaded(_) => write!(f, "submission queue full (backpressure)"),
             SubmitError::ShuttingDown(_) => write!(f, "service is shutting down"),
+            SubmitError::Invalid(_, cause) => write!(f, "invalid job: {cause}"),
         }
+    }
+}
+
+/// A summary of the refused job — fingerprint, point count, grid and
+/// persistence flag — rather than every coordinate of its cloud.
+impl std::fmt::Debug for SubmitError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (variant, job) = match self {
+            SubmitError::Overloaded(job) => ("Overloaded", job),
+            SubmitError::ShuttingDown(job) => ("ShuttingDown", job),
+            SubmitError::Invalid(job, _) => ("Invalid", job),
+        };
+        let mut out = f.debug_struct(variant);
+        out.field("fingerprint", &format_args!("{:#018x}", job.fingerprint()))
+            .field("points", &job.cloud.len())
+            .field("epsilons", &job.epsilons)
+            .field("persistence", &job.persistence);
+        if let SubmitError::Invalid(_, cause) = self {
+            out.field("cause", cause);
+        }
+        out.finish()
     }
 }
 

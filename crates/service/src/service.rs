@@ -337,7 +337,8 @@ impl QtdaService {
 
     /// Submits a job under the default QoS (Normal class, no deadline),
     /// blocking while the queue is full (backpressure by waiting).
-    /// Fails only during shutdown.
+    /// Fails during shutdown, or with [`SubmitError::Invalid`] when the
+    /// job fails [`BettiJob::validate`].
     pub fn submit(&self, job: BettiJob) -> Result<Ticket, SubmitError> {
         self.submit_with(job, QosPolicy::default())
     }
@@ -351,6 +352,7 @@ impl QtdaService {
         let submit_event = prepared_submit_event(self.engine.recorder(), &request);
         let journal_key = submit_event.as_ref().map(|(t, f, _)| (*t, *f));
         self.stamp_submit(submit_event);
+        let request = self.admit(request, journal_key)?;
         if let Err(err) = self.queue.push_blocking(request) {
             self.stamp_rejected(journal_key, "shutting-down");
             return Err(err);
@@ -373,21 +375,37 @@ impl QtdaService {
         let submit_event = prepared_submit_event(self.engine.recorder(), &request);
         let journal_key = submit_event.as_ref().map(|(t, f, _)| (*t, *f));
         self.stamp_submit(submit_event);
+        let request = self.admit(request, journal_key)?;
         match self.queue.try_push(request) {
             Ok(()) => {
                 self.counters.record_submit(priority);
                 Ok(ticket)
             }
             Err(err) => {
-                if matches!(err, SubmitError::Overloaded(_)) {
+                let reason = if matches!(err, SubmitError::Overloaded(_)) {
                     self.counters.rejected_overloaded.inc();
-                }
-                let reason = match &err {
-                    SubmitError::Overloaded(_) => "overloaded",
-                    SubmitError::ShuttingDown(_) => "shutting-down",
+                    "overloaded"
+                } else {
+                    "shutting-down"
                 };
                 self.stamp_rejected(journal_key, reason);
                 Err(err)
+            }
+        }
+    }
+
+    /// Refuses a request whose job fails [`BettiJob::validate`] before
+    /// it can reach the queue, closing its journal chain with the cause.
+    fn admit(
+        &self,
+        request: Request,
+        journal_key: Option<(u64, u64)>,
+    ) -> Result<Request, SubmitError> {
+        match request.job.validate() {
+            Ok(()) => Ok(request),
+            Err(cause) => {
+                self.stamp_rejected(journal_key, &format!("invalid cause=\"{cause}\""));
+                Err(SubmitError::Invalid(Box::new(request.job), cause))
             }
         }
     }

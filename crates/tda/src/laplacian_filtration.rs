@@ -26,9 +26,7 @@
 //! set at any ε a **prefix** of the arena, and Δ_k at ε is assembled
 //! from that prefix in `O(nnz(ε) + n_k(ε))` — a counting-sort pass plus
 //! [`CsrMatrix::from_sorted_triplets`] — instead of re-walking boundary
-//! incidences and re-sorting per slice. For ascending grids,
-//! [`LaplacianFiltration::extend_appearance_laplacian`] goes further
-//! and merges only the triplets activated since the previous slice.
+//! incidences and re-sorting per slice.
 //!
 //! [`LaplacianFiltration::laplacian_at`] additionally applies the
 //! appearance → slice-lexicographic symmetric permutation, making its
@@ -236,6 +234,10 @@ impl LaplacianFiltration {
         let Some(arena) = self.dims.get(k) else {
             return CsrMatrix::from_sorted_triplets(n, n, &[]);
         };
+        let prefix = &arena.triplets[..self.triplets_at(k, epsilon)];
+        if prefix.is_empty() {
+            return CsrMatrix::from_sorted_triplets(n, n, &[]);
+        }
         // Appearance → slice-lex permutation: scan the full lex order,
         // renumber the alive prefix in encounter order.
         let mut perm = vec![0u32; n];
@@ -246,49 +248,13 @@ impl LaplacianFiltration {
                 next += 1;
             }
         }
-        self.assemble(arena, n, epsilon, |i| perm[i as usize])
-    }
-
-    /// Δ_k at ε in **appearance order** — the arena's native indexing,
-    /// stable across slices (index `i` refers to the same simplex at
-    /// every ε), which is what lets warm-started spectral bounds carry
-    /// an iterate from one slice to the next. A symmetric permutation
-    /// of [`Self::laplacian_at`] (same spectrum).
-    pub fn laplacian_at_appearance(&self, k: usize, epsilon: f64) -> CsrMatrix {
-        let n = self.count_at(k, epsilon);
-        let Some(arena) = self.dims.get(k) else {
-            return CsrMatrix::from_sorted_triplets(n, n, &[]);
-        };
-        self.assemble(arena, n, epsilon, |i| i)
-    }
-
-    /// The appearance-order Δ_k at ε, **extended from a previous
-    /// slice** of an ascending grid: only the triplets activated in
-    /// `(previous ε, ε]` are merged into the previous matrix
-    /// ([`CsrMatrix::merge_sorted_triplets`]). `prev` is the previous
-    /// slice's matrix plus the arena-prefix length it consumed (as
-    /// returned here); `None` starts the sweep. Identical to a fresh
-    /// [`Self::laplacian_at_appearance`] at every step.
-    pub fn extend_appearance_laplacian(
-        &self,
-        k: usize,
-        epsilon: f64,
-        prev: Option<(&CsrMatrix, usize)>,
-    ) -> (CsrMatrix, usize) {
-        let hi = self.triplets_at(k, epsilon);
-        let Some((matrix, lo)) = prev else {
-            return (self.laplacian_at_appearance(k, epsilon), hi);
-        };
-        assert!(lo <= hi, "extend path requires an ascending ε-grid");
-        let n = self.count_at(k, epsilon);
-        let Some(arena) = self.dims.get(k) else {
-            return (self.laplacian_at_appearance(k, epsilon), hi);
-        };
-        let fresh = counting_sort_by_row_col(n, hi - lo, |i| {
-            let t = &arena.triplets[lo + i];
-            (t.row, t.col, t.value)
+        // The relabelling happens inside the counting sort's first
+        // scatter, feeding the no-sort CSR constructor.
+        let sorted = counting_sort_by_row_col(n, prefix.len(), |i| {
+            let t = &prefix[i];
+            (perm[t.row as usize], perm[t.col as usize], t.value)
         });
-        (matrix.merge_sorted_triplets(n, n, &fresh), hi)
+        CsrMatrix::from_sorted_triplets(n, n, &sorted)
     }
 
     /// Classical β_k at ε via rank–nullity on the boundary prefixes —
@@ -501,27 +467,6 @@ impl LaplacianFiltration {
         }
         m
     }
-
-    /// Prefix → CSR through an index relabelling (the relabelling
-    /// happens inside the counting sort's first scatter), feeding the
-    /// no-sort CSR constructor. `O(nnz(ε) + n)`.
-    fn assemble(
-        &self,
-        arena: &DimensionArena,
-        n: usize,
-        epsilon: f64,
-        map: impl Fn(u32) -> u32,
-    ) -> CsrMatrix {
-        let prefix = &arena.triplets[..arena.triplets.partition_point(|t| t.activation <= epsilon)];
-        if prefix.is_empty() {
-            return CsrMatrix::from_sorted_triplets(n, n, &[]);
-        }
-        let sorted = counting_sort_by_row_col(n, prefix.len(), |i| {
-            let t = &prefix[i];
-            (map(t.row), map(t.col), t.value)
-        });
-        CsrMatrix::from_sorted_triplets(n, n, &sorted)
-    }
 }
 
 /// Up-term ∂_{k+1}∂_{k+1}ᵀ contributions: every (k+1)-simplex couples
@@ -608,9 +553,8 @@ fn merge_by_activation(a: Vec<LapTriplet>, b: Vec<LapTriplet>) -> Vec<LapTriplet
 
 /// Fused two-pass stable counting sort by `(row, col)` of the `len`
 /// triplets produced by `get` — `O(len + n)`, no comparisons: the
-/// per-slice replacement for the re-sort the arena exists to avoid,
-/// shared by the prefix assembly (which relabels inside `get`) and the
-/// ascending-grid extend path.
+/// per-slice replacement for the re-sort the arena exists to avoid (the
+/// prefix assembly relabels inside `get`).
 fn counting_sort_by_row_col(
     n: usize,
     len: usize,
@@ -704,45 +648,6 @@ mod tests {
                         );
                     }
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn appearance_order_is_a_symmetric_permutation_of_lex_order() {
-        let pc = cloud();
-        let filt = LaplacianFiltration::rips(&pc, 0.9, 3, Metric::Euclidean);
-        for &eps in &[0.45, 0.9] {
-            for k in 0..=2usize {
-                let app = filt.laplacian_at_appearance(k, eps);
-                let lex = filt.laplacian_at(k, eps);
-                assert_eq!(app.n_rows(), lex.n_rows(), "ε = {eps}, k = {k}");
-                // Same multiset of entries, same Gershgorin bound, same
-                // trace — permutation invariants.
-                assert_eq!(app.nnz(), lex.nnz());
-                assert!((app.gershgorin_max() - lex.gershgorin_max()).abs() < 1e-12);
-                let trace = |m: &CsrMatrix| {
-                    let d = m.to_dense();
-                    (0..m.n_rows()).map(|i| d[(i, i)]).sum::<f64>()
-                };
-                assert!((trace(&app) - trace(&lex)).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn extend_path_matches_fresh_assembly_along_ascending_grid() {
-        let pc = cloud();
-        let filt = LaplacianFiltration::rips(&pc, 0.96, 3, Metric::Euclidean);
-        for k in 0..=2usize {
-            let mut prev: Option<(CsrMatrix, usize)> = None;
-            for &eps in &grid() {
-                let (extended, consumed) =
-                    filt.extend_appearance_laplacian(k, eps, prev.as_ref().map(|(m, c)| (m, *c)));
-                let fresh = filt.laplacian_at_appearance(k, eps);
-                assert_eq!(extended, fresh, "ε = {eps}, k = {k}");
-                assert_eq!(consumed, filt.triplets_at(k, eps));
-                prev = Some((extended, consumed));
             }
         }
     }

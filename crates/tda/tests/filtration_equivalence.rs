@@ -5,17 +5,12 @@
 //! * `LaplacianFiltration::laplacian_at(k, ε)` is **structurally
 //!   identical** (CSR arrays and value bits) to
 //!   `combinatorial_laplacian_sparse(rips_complex(cloud, ε), k)`;
-//! * the appearance-order variant is the same matrix up to the
-//!   appearance ↔ slice-lexicographic symmetric permutation;
-//! * the ascending extend-from-previous-slice path reproduces the
-//!   from-scratch prefix build exactly;
 //! * classical Betti numbers read off the arena match rank–nullity on
 //!   the slice complex.
 //!
 //! Run explicitly in CI next to the engine determinism suite.
 
 use proptest::prelude::*;
-use qtda_linalg::CsrMatrix;
 use qtda_tda::betti::betti_via_rank;
 use qtda_tda::laplacian::combinatorial_laplacian_sparse;
 use qtda_tda::laplacian_filtration::LaplacianFiltration;
@@ -42,25 +37,6 @@ fn arb_grid() -> impl Strategy<Value = Vec<f64>> {
         }
         grid
     })
-}
-
-/// The symmetric permutation sending appearance order to the slice's
-/// lexicographic order, recovered by matching both matrices against
-/// the direct assembly.
-fn permuted_equals(app: &CsrMatrix, lex: &CsrMatrix, perm: &[usize]) -> bool {
-    if app.n_rows() != lex.n_rows() || app.nnz() != lex.nnz() {
-        return false;
-    }
-    let a = app.to_dense();
-    let l = lex.to_dense();
-    for i in 0..app.n_rows() {
-        for j in 0..app.n_rows() {
-            if a[(i, j)].to_bits() != l[(perm[i], perm[j])].to_bits() {
-                return false;
-            }
-        }
-    }
-    true
 }
 
 proptest! {
@@ -90,64 +66,6 @@ proptest! {
                     betti_via_rank(&complex, k),
                     "classical β at ε = {}, k = {}", eps, k
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn appearance_order_is_the_claimed_symmetric_permutation(
-        cloud in arb_cloud(),
-        eps in 0.15f64..0.6,
-    ) {
-        let filt = LaplacianFiltration::rips(&cloud, eps, 3, Metric::Euclidean);
-        let complex = rips_complex(
-            &cloud,
-            &RipsParams { epsilon: eps, max_dim: 3, metric: Metric::Euclidean },
-        );
-        for k in 0..3usize {
-            let app = filt.laplacian_at_appearance(k, eps);
-            let lex = filt.laplacian_at(k, eps);
-            // Recover the permutation the way the arena defines it:
-            // appearance index ↦ rank of its simplex in slice-lex
-            // order. The slice complex's own ordering is the oracle.
-            let n = complex.count(k);
-            prop_assert_eq!(app.n_rows(), n);
-            // Appearance values are ascending diameters; recompute the
-            // permutation independently by sorting lex indices stably
-            // by diameter and inverting.
-            let mut order: Vec<usize> = (0..n).collect();
-            let diam = |i: usize| {
-                let s = &complex.simplices(k)[i];
-                let vs = s.vertices();
-                let mut d = 0.0f64;
-                for (a, &x) in vs.iter().enumerate() {
-                    for &y in &vs[a + 1..] {
-                        d = d.max(cloud.distance(x as usize, y as usize, Metric::Euclidean));
-                    }
-                }
-                d
-            };
-            order.sort_by(|&a, &b| diam(a).total_cmp(&diam(b)));
-            // perm[appearance] = lex position.
-            prop_assert!(permuted_equals(&app, &lex, &order), "k = {}", k);
-        }
-    }
-
-    #[test]
-    fn extend_path_reproduces_fresh_prefix_builds(
-        cloud in arb_cloud(),
-        grid in arb_grid(),
-    ) {
-        let construction = grid.iter().fold(f64::NEG_INFINITY, |a, &e| a.max(e));
-        let filt = LaplacianFiltration::rips(&cloud, construction, 3, Metric::Euclidean);
-        for k in 0..3usize {
-            let mut prev: Option<(CsrMatrix, usize)> = None;
-            for &eps in &grid {
-                let (extended, consumed) =
-                    filt.extend_appearance_laplacian(k, eps, prev.as_ref().map(|(m, c)| (m, *c)));
-                let fresh = filt.laplacian_at_appearance(k, eps);
-                prop_assert_eq!(&extended, &fresh, "ε = {}, k = {}", eps, k);
-                prev = Some((extended, consumed));
             }
         }
     }
