@@ -68,7 +68,6 @@ fn service_config() -> ServiceConfig {
         max_batch_size: 8,
         max_linger: Duration::from_millis(2),
         queue_capacity: 256,
-        ..ServiceConfig::default()
     }
 }
 

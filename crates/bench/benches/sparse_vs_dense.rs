@@ -245,7 +245,7 @@ fn main() {
     // bare and again under a scraper hammering `GET /metrics` over TCP.
     let registry = Arc::new(MetricsRegistry::new());
     let engine = BatchEngine::with_observability(
-        EngineConfig { workers: 2, batch_seed: 0x0B5, cache_capacity: 0, ..Default::default() },
+        EngineConfig { workers: 2, batch_seed: 0x0B5, cache_capacity: 0 },
         Arc::clone(&registry),
         Some(Arc::new(FlightRecorder::new(1 << 12))),
     );

@@ -12,7 +12,7 @@
 //! (Gershgorin + dense spectral backend, bit-compatible with the paper's
 //! worked example), large `S_k` assemble a CSR Laplacian straight from
 //! the boundary maps and run **one** matvec-only Lanczos decomposition
-//! ([`PaddedSpectrum`]) that yields the QPE estimate and the classical
+//! ([`PaddedSpectrum`](crate::spectrum::PaddedSpectrum)) that yields the QPE estimate and the classical
 //! kernel-count cross-check together. Multi-scale [`betti_curve`]
 //! sweeps run every ε (and every dimension within an ε) in parallel via
 //! rayon.

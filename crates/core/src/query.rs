@@ -3,31 +3,34 @@
 //!
 //! Every Betti query answers the same question — *estimate β̃_k of
 //! some source at some scales* — so one builder and one executor serve
-//! all of them, whatever the source type, parallelism, or routing:
+//! all of them, whatever the source type or routing:
 //!
 //! * [`BettiRequest`] is the builder. Pick a source
 //!   ([`BettiRequest::of_cloud`] / [`of_complex`](BettiRequest::of_complex)
 //!   / [`of_filtration`](BettiRequest::of_filtration)), then chain the
 //!   scales, dimensions, estimator, and [`DispatchPolicy`] the request
 //!   needs. Everything defaults to the pipeline's defaults.
-//! * [`Query`] is the validated request; [`Query::run`] executes it and
-//!   returns a [`QueryOutput`] — per-scale [`QuerySlice`]s of estimates
-//!   next to the classical truth.
-//! * [`QosPolicy`] attaches quality-of-service to an execution:
-//!   a [`Priority`] class, an optional absolute deadline, and a
-//!   cooperative [`CancelToken`]. [`Query::run_qos`] checks the policy
-//!   at unit boundaries (one unit = one `(ε, dimension)` estimate) and
-//!   returns [`AbortReason`] instead of wasting further work. The batch
-//!   engine and streaming service speak the same vocabulary, so one
-//!   policy travels from a front-end ticket down to individual units.
+//! * [`Query`] is the validated request; [`Query::run`] executes it to
+//!   completion and returns a [`QueryOutput`] — per-scale
+//!   [`QuerySlice`]s of estimates next to the classical truth.
+//! * [`unit_on_filtration`] is one `(ε, dimension)` unit over a
+//!   prebuilt arena — the body [`Query::run`] fans out over a grid, and
+//!   the one the batch engine calls per scheduled unit.
+//! * [`QosPolicy`] is the quality-of-service vocabulary: a [`Priority`]
+//!   class, an optional absolute deadline, and a cooperative
+//!   [`CancelToken`]. The batch engine is the executor that checks it
+//!   (at unit boundaries, returning [`AbortReason`] instead of wasting
+//!   further work), and the streaming service carries it per ticket, so
+//!   one policy travels from a front-end ticket down to individual
+//!   units.
 //!
 //! Unit values are pure functions of `(source content, ε, k,
 //! estimator config, policy)`, so equivalent request shapes — a cloud,
 //! its complex, or its filtration arena; a sparse threshold or the
-//! policy it abbreviates; serial or parallel — give **bit-identical**
-//! outputs (pinned by this module's tests), and nothing about
-//! priorities, deadlines, or parallelism can change a completed
-//! result's bits.
+//! policy it abbreviates; a grid or its single-unit requests — give
+//! **bit-identical** outputs (pinned by this module's tests), and
+//! nothing about priorities, deadlines, or parallelism can change a
+//! completed result's bits.
 
 use crate::backend::{LanczosBackend, StatevectorBackend};
 use crate::estimator::{BettiEstimate, BettiEstimator, EstimatorConfig};
@@ -212,7 +215,7 @@ impl std::fmt::Display for AbortReason {
 ///
 /// The default policy ([`QosPolicy::default`]) is `Normal` priority, no
 /// deadline, fresh token — it can never abort, which is what makes the
-/// plain [`Query::run`] / `run_batch` paths infallible.
+/// engine's plain `run_batch` path infallible.
 #[derive(Clone, Debug, Default)]
 pub struct QosPolicy {
     /// The serving class.
@@ -331,7 +334,6 @@ pub struct BettiRequest<'a> {
     metric: Metric,
     estimator: EstimatorConfig,
     policy: DispatchPolicy,
-    serial: bool,
     persistence: bool,
     share: Option<&'a SpectrumShare>,
 }
@@ -346,7 +348,6 @@ impl<'a> BettiRequest<'a> {
             metric: Metric::Euclidean,
             estimator: EstimatorConfig::default(),
             policy: DispatchPolicy::default(),
-            serial: false,
             persistence: false,
             share: None,
         }
@@ -437,14 +438,6 @@ impl<'a> BettiRequest<'a> {
         self
     }
 
-    /// Run units serially on the calling thread instead of fanning out
-    /// via rayon — for external drivers that own their parallelism.
-    /// Never changes results, only where the work runs.
-    pub fn serial(mut self) -> Self {
-        self.serial = true;
-        self
-    }
-
     /// Also serve **persistent homology**: every slice gains its row of
     /// the persistent-Betti triangle (`β_k(ε_i, ε_j)` for each earlier
     /// grid scale ε_i, per requested dimension) and the output gains
@@ -464,12 +457,12 @@ impl<'a> BettiRequest<'a> {
     }
 
     /// Deduplicate sparse-route decompositions through a caller-owned
-    /// [`SpectrumShare`] — for drivers (e.g. the batch engine) that
-    /// split one arena's `(ε, dim)` units across many single-unit
-    /// requests and want them to coalesce like a grid sweep does
-    /// automatically. Only filtration-source units consult the share;
-    /// the share must be scoped to this arena and estimator config.
-    /// Never changes results (see [`SpectrumShare`]), only cost.
+    /// [`SpectrumShare`] — for drivers that split one arena's
+    /// `(ε, dim)` units across many single-unit requests and want them
+    /// to coalesce like a grid sweep does automatically. Only
+    /// filtration-source units consult the share; the share must be
+    /// scoped to this arena and estimator config. Never changes results
+    /// (see [`SpectrumShare`]), only cost.
     pub fn share_spectra(mut self, share: &'a SpectrumShare) -> Self {
         self.share = Some(share);
         self
@@ -513,8 +506,9 @@ impl<'a> BettiRequest<'a> {
 // ---------------------------------------------------------------------
 
 /// A validated [`BettiRequest`], ready to execute. This is the **one**
-/// executor: [`crate::pipeline::betti_curve`] routes through it, and
-/// it is the unit the batch engine schedules.
+/// request executor: [`crate::pipeline::betti_curve`] routes through
+/// it, and its filtration units are the [`unit_on_filtration`] body the
+/// batch engine schedules.
 #[derive(Clone, Debug)]
 pub struct Query<'a> {
     req: BettiRequest<'a>,
@@ -608,35 +602,18 @@ impl QueryOutput {
 
 impl<'a> Query<'a> {
     /// Executes the query, returning every requested `(scale,
-    /// dimension)` estimate. Infallible: this is [`Self::run_qos`] under
-    /// the default (never-aborting) policy. Fully deterministic in the
-    /// request content — worker counts, priorities, and scheduling
-    /// cannot change a single bit.
+    /// dimension)` estimate. Runs to completion — QoS checks live in
+    /// the batch engine, the executor that serves [`QosPolicy`]. Fully
+    /// deterministic in the request content — worker counts and
+    /// scheduling cannot change a single bit.
     pub fn run(&self) -> QueryOutput {
-        match self.run_qos(&QosPolicy::default()) {
-            Ok(output) => output,
-            Err(_) => unreachable!("the default QosPolicy can never abort"),
-        }
-    }
-
-    /// Executes the query under a [`QosPolicy`], checking the deadline
-    /// and cancellation flag at every unit boundary (one `(ε, dim)`
-    /// estimate). Returns [`AbortReason`] the moment a boundary check
-    /// fails; completed outputs are bit-identical to [`Self::run`].
-    pub fn run_qos(&self, qos: &QosPolicy) -> Result<QueryOutput, AbortReason> {
-        if let Some(reason) = qos.abort_reason(Instant::now()) {
-            return Err(reason);
-        }
         let dims: Vec<usize> = (self.req.dim_lo..=self.req.dim_hi).collect();
         match self.req.source {
-            QuerySource::Complex(complex) => {
-                let per_dim = self.dims_on_complex(complex, &dims, qos)?;
-                Ok(QueryOutput {
-                    slices: vec![assemble_slice(None, per_dim)],
-                    complex: None,
-                    diagrams: None,
-                })
-            }
+            QuerySource::Complex(complex) => QueryOutput {
+                slices: vec![assemble_slice(None, self.dims_on_complex(complex, &dims))],
+                complex: None,
+                diagrams: None,
+            },
             QuerySource::Cloud(cloud) => {
                 if self.req.epsilons.len() == 1 && !self.req.persistence {
                     // Single scale: materialise the complex (callers of
@@ -651,12 +628,12 @@ impl<'a> Query<'a> {
                             metric: self.req.metric,
                         },
                     );
-                    let per_dim = self.dims_on_complex(&complex, &dims, qos)?;
-                    Ok(QueryOutput {
+                    let per_dim = self.dims_on_complex(&complex, &dims);
+                    QueryOutput {
                         slices: vec![assemble_slice(Some(epsilon), per_dim)],
                         complex: Some(complex),
                         diagrams: None,
-                    })
+                    }
                 } else {
                     // Grid sweep: one filtration arena at the grid's
                     // maximum, every unit a prefix read (bit-identical
@@ -668,146 +645,75 @@ impl<'a> Query<'a> {
                         self.req.dim_hi + 1,
                         self.req.metric,
                     );
-                    self.sweep_filtration(&filtration, &dims, qos)
+                    self.sweep_filtration(&filtration, &dims)
                 }
             }
-            QuerySource::Filtration(filtration) => self.sweep_filtration(filtration, &dims, qos),
+            QuerySource::Filtration(filtration) => self.sweep_filtration(filtration, &dims),
         }
     }
 
-    /// Every requested dimension of one complex, serial or rayon-fanned.
-    fn dims_on_complex(
-        &self,
-        complex: &SimplicialComplex,
-        dims: &[usize],
-        qos: &QosPolicy,
-    ) -> Result<Vec<UnitValue>, AbortReason> {
-        if self.req.serial || dims.len() == 1 {
-            let mut out = Vec::with_capacity(dims.len());
-            for &k in dims {
-                if let Some(reason) = qos.abort_reason(Instant::now()) {
-                    return Err(reason);
-                }
-                out.push(unit_on_complex(complex, k, &self.req.estimator, self.req.policy));
-            }
-            return Ok(out);
+    /// Every requested dimension of one complex; a single dimension
+    /// runs inline, several fan out via rayon.
+    fn dims_on_complex(&self, complex: &SimplicialComplex, dims: &[usize]) -> Vec<UnitValue> {
+        let unit = |&k: &usize| unit_on_complex(complex, k, &self.req.estimator, self.req.policy);
+        if dims.len() == 1 {
+            return dims.iter().map(unit).collect();
         }
-        let results: Vec<Option<UnitValue>> = dims
-            .par_iter()
-            .map(|&k| {
-                if qos.abort_reason(Instant::now()).is_some() {
-                    return None;
-                }
-                Some(unit_on_complex(complex, k, &self.req.estimator, self.req.policy))
-            })
-            .collect();
-        collect_or_abort(results, qos)
+        dims.par_iter().map(unit).collect()
     }
 
-    /// Every `(ε, dimension)` unit of a grid over one filtration arena.
-    fn sweep_filtration(
-        &self,
-        filtration: &LaplacianFiltration,
-        dims: &[usize],
-        qos: &QosPolicy,
-    ) -> Result<QueryOutput, AbortReason> {
+    /// Every `(ε, dimension)` unit of a grid over one filtration arena;
+    /// a single-unit request runs inline, anything larger fans out via
+    /// rayon.
+    fn sweep_filtration(&self, filtration: &LaplacianFiltration, dims: &[usize]) -> QueryOutput {
         // Grid sweeps share sparse decompositions across their own
         // units automatically: consecutive ε's whose Δ_k prefixes are
         // identical coalesce into one Lanczos run. Callers can inject a
         // wider-scoped share (`share_spectra`) instead.
         let local_share = SpectrumShare::new();
         let share = self.req.share.unwrap_or(&local_share);
-        let slices = if self.req.serial || (self.req.epsilons.len() == 1 && dims.len() == 1) {
-            let mut slices = Vec::with_capacity(self.req.epsilons.len());
-            for &eps in &self.req.epsilons {
-                let mut per_dim = Vec::with_capacity(dims.len());
-                for &k in dims {
-                    if let Some(reason) = qos.abort_reason(Instant::now()) {
-                        return Err(reason);
-                    }
-                    per_dim.push(unit_on_filtration(
-                        filtration,
-                        eps,
-                        k,
-                        &self.req.estimator,
-                        self.req.policy,
-                        Some(share),
-                    ));
-                }
-                slices.push(assemble_slice(Some(eps), per_dim));
-            }
-            slices
+        let unit = |eps: f64, k: usize| {
+            unit_on_filtration(
+                filtration,
+                eps,
+                k,
+                &self.req.estimator,
+                self.req.policy,
+                Some(share),
+            )
+        };
+        let epsilons = &self.req.epsilons;
+        let mut slices: Vec<QuerySlice> = if epsilons.len() == 1 && dims.len() == 1 {
+            vec![assemble_slice(Some(epsilons[0]), vec![unit(epsilons[0], dims[0])])]
         } else {
             // The ε's (and the dimensions within each ε) fan out in
             // parallel, exactly like the historical `betti_curve`.
-            let results: Vec<Vec<Option<UnitValue>>> = self
-                .req
-                .epsilons
+            epsilons
                 .par_iter()
                 .map(|&eps| {
-                    dims.par_iter()
-                        .map(|&k| {
-                            if qos.abort_reason(Instant::now()).is_some() {
-                                return None;
-                            }
-                            Some(unit_on_filtration(
-                                filtration,
-                                eps,
-                                k,
-                                &self.req.estimator,
-                                self.req.policy,
-                                Some(share),
-                            ))
-                        })
-                        .collect()
+                    assemble_slice(Some(eps), dims.par_iter().map(|&k| unit(eps, k)).collect())
                 })
-                .collect();
-            let mut slices = Vec::with_capacity(results.len());
-            for (per_dim, &eps) in results.into_iter().zip(&self.req.epsilons) {
-                slices.push(assemble_slice(Some(eps), collect_or_abort(per_dim, qos)?));
-            }
-            slices
+                .collect()
         };
-        let mut slices = slices;
         let diagrams = if self.req.persistence {
             // Persistence post-pass: exact integer payloads read off
             // the arena — each slice's persistent-Betti rows over its
-            // grid prefix, then the request-wide diagrams. Abort is
-            // checked at slice boundaries like any other unit work.
+            // grid prefix, then the request-wide diagrams.
             for (j, slice) in slices.iter_mut().enumerate() {
-                if let Some(reason) = qos.abort_reason(Instant::now()) {
-                    return Err(reason);
-                }
                 slice.persistence = Some(crate::persist::slice_rows(
                     filtration,
                     self.req.dim_lo,
                     self.req.dim_hi,
-                    &self.req.epsilons[..=j],
-                    self.req.epsilons[j],
+                    &epsilons[..=j],
+                    epsilons[j],
                 ));
-            }
-            if let Some(reason) = qos.abort_reason(Instant::now()) {
-                return Err(reason);
             }
             Some(crate::persist::diagrams(filtration, self.req.dim_lo, self.req.dim_hi))
         } else {
             None
         };
-        Ok(QueryOutput { slices, complex: None, diagrams })
+        QueryOutput { slices, complex: None, diagrams }
     }
-}
-
-/// Folds parallel-unit results: any unit skipped by an abort check
-/// turns the whole run into that abort (the reason is re-read from the
-/// policy — cancellation is sticky and time is monotone, so it is still
-/// observable).
-fn collect_or_abort<T>(results: Vec<Option<T>>, qos: &QosPolicy) -> Result<Vec<T>, AbortReason> {
-    if results.iter().any(Option::is_none) {
-        return Err(qos
-            .abort_reason(Instant::now())
-            .expect("a unit was skipped, so the policy must report an abort"));
-    }
-    Ok(results.into_iter().map(|r| r.expect("checked above")).collect())
 }
 
 /// What one `(ε, dimension)` unit produces: the estimate, the classical
@@ -924,15 +830,20 @@ pub(crate) fn unit_on_complex(
 
 /// One `(ε, dimension)` unit served from a prebuilt filtration arena:
 /// Δ_k at ε is a prefix read (slice-lexicographic order), bit-identical
-/// to [`unit_on_complex`] on the slice complex.
-pub(crate) fn unit_on_filtration(
+/// to the complex-source unit (`unit_on_complex`) on the slice complex.
+/// Returns the QPE estimate, the classical β_k cross-check, and the
+/// solver cost the unit burned (telemetry only; empty with the `obs`
+/// feature off). `share` deduplicates sparse decompositions across
+/// units of the same arena and estimator parameters (see
+/// [`SpectrumShare`]); it never changes a bit.
+pub fn unit_on_filtration(
     filtration: &LaplacianFiltration,
     epsilon: f64,
     k: usize,
     estimator_config: &EstimatorConfig,
     policy: DispatchPolicy,
     share: Option<&SpectrumShare>,
-) -> UnitValue {
+) -> (BettiEstimate, usize, SolveProfile) {
     let n_k = filtration.count_at(k, epsilon);
     // `(k, |S_k|, triplet prefix length)` pins the exact Δ_k content
     // within this arena — the share key (see [`SpectrumShare`]).
@@ -998,55 +909,53 @@ mod tests {
     }
 
     #[test]
-    fn run_qos_aborts_before_any_work_when_cancelled() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let cloud = synthetic::circle(10, 1.0, 0.02, &mut rng);
-        let qos = QosPolicy::default();
-        qos.cancel_token().cancel();
-        let query = BettiRequest::of_cloud(&cloud).at_scale(0.6).build();
-        assert!(matches!(query.run_qos(&qos), Err(AbortReason::Cancelled)));
-    }
-
-    #[test]
-    fn run_qos_reports_deadline_exceeded_on_grid_sweeps() {
-        let mut rng = StdRng::seed_from_u64(12);
-        let cloud = synthetic::circle(10, 1.0, 0.02, &mut rng);
-        let qos = QosPolicy::default().with_deadline(Instant::now() - Duration::from_millis(1));
-        for serial in [false, true] {
-            let mut request = BettiRequest::of_cloud(&cloud)
-                .on_grid(vec![0.3, 0.5, 0.7])
-                .estimator(high_fidelity(3));
-            if serial {
-                request = request.serial();
-            }
-            assert!(matches!(request.build().run_qos(&qos), Err(AbortReason::DeadlineExceeded)));
-        }
-    }
-
-    #[test]
-    fn serial_and_parallel_runs_are_bit_identical() {
+    fn grid_runs_match_single_unit_requests() {
+        // A multi-unit request fans its units out via rayon; each unit
+        // must carry the bits of the same (ε, k) requested alone, which
+        // runs inline.
         let mut rng = StdRng::seed_from_u64(13);
         let cloud = synthetic::figure_eight(10, 1.0, 0.02, &mut rng);
         let mut rng = StdRng::seed_from_u64(27);
         let circle = synthetic::circle(13, 1.0, 0.02, &mut rng);
         let complex = rips_complex(&circle, &RipsParams::new(0.6, 2));
-        let requests = [
-            BettiRequest::of_cloud(&cloud)
-                .on_grid(vec![0.3, 0.5, 0.7, 0.9])
-                .estimator(high_fidelity(5)),
-            BettiRequest::of_complex(&complex).max_dim(1).estimator(high_fidelity(17)),
-        ];
-        for request in requests {
-            let parallel = request.clone().build().run();
-            let serial = request.serial().build().run();
-            assert_eq!(parallel.slices.len(), serial.slices.len());
-            for (p, s) in parallel.slices.iter().zip(&serial.slices) {
-                assert_eq!(p.classical, s.classical);
-                for (a, b) in p.estimates.iter().zip(&s.estimates) {
-                    assert_eq!(a.p_zero_sampled.to_bits(), b.p_zero_sampled.to_bits());
-                    assert_eq!(a.corrected.to_bits(), b.corrected.to_bits());
-                }
+        let grid = [0.3, 0.5, 0.7, 0.9];
+        let assert_unit = |slice: &QuerySlice, k: usize, alone: (BettiEstimate, usize)| {
+            assert_eq!(slice.classical[k], alone.1);
+            let swept = &slice.estimates[k];
+            assert_eq!(swept.p_zero_sampled.to_bits(), alone.0.p_zero_sampled.to_bits());
+            assert_eq!(swept.corrected.to_bits(), alone.0.corrected.to_bits());
+        };
+        let swept = BettiRequest::of_cloud(&cloud)
+            .on_grid(grid.to_vec())
+            .estimator(high_fidelity(5))
+            .build()
+            .run();
+        assert_eq!(swept.slices.len(), grid.len());
+        for (slice, &eps) in swept.slices.iter().zip(&grid) {
+            for k in 0..=1usize {
+                let alone = BettiRequest::of_cloud(&cloud)
+                    .at_scale(eps)
+                    .dimension(k)
+                    .estimator(high_fidelity(5))
+                    .build()
+                    .run()
+                    .unit();
+                assert_unit(slice, k, alone);
             }
+        }
+        let whole = BettiRequest::of_complex(&complex)
+            .max_dim(1)
+            .estimator(high_fidelity(17))
+            .build()
+            .run();
+        for k in 0..=1usize {
+            let alone = BettiRequest::of_complex(&complex)
+                .dimension(k)
+                .estimator(high_fidelity(17))
+                .build()
+                .run()
+                .unit();
+            assert_unit(whole.single_slice(), k, alone);
         }
     }
 
@@ -1113,7 +1022,7 @@ mod tests {
     }
 
     #[test]
-    fn serial_filtration_slices_match_serial_complex_slices() {
+    fn filtration_slices_match_complex_slices() {
         let mut rng = StdRng::seed_from_u64(62);
         let cloud = synthetic::figure_eight(11, 1.0, 0.03, &mut rng);
         let eps = 0.6;
@@ -1124,7 +1033,6 @@ mod tests {
                 .max_dim(1)
                 .estimator(high_fidelity(29))
                 .sparse_threshold(threshold)
-                .serial()
                 .build()
                 .run();
             let via_filtration = BettiRequest::of_filtration(&filtration)
@@ -1132,7 +1040,6 @@ mod tests {
                 .max_dim(1)
                 .estimator(high_fidelity(29))
                 .sparse_threshold(threshold)
-                .serial()
                 .build()
                 .run();
             let (c, f) = (via_complex.single_slice(), via_filtration.single_slice());
@@ -1377,26 +1284,43 @@ mod tests {
     }
 
     #[test]
-    fn serial_and_parallel_persistence_sweeps_are_bit_identical() {
+    fn persistence_sweeps_match_single_unit_requests() {
         let mut rng = StdRng::seed_from_u64(35);
         let cloud = synthetic::figure_eight(10, 1.0, 0.02, &mut rng);
         let grid = vec![0.3, 0.5, 0.7, 0.9];
-        let run = |serial: bool| {
-            let mut req = BettiRequest::of_cloud(&cloud)
-                .on_grid(grid.clone())
-                .estimator(high_fidelity(5))
-                .persistence();
-            if serial {
-                req = req.serial();
+        let swept = BettiRequest::of_cloud(&cloud)
+            .on_grid(grid.clone())
+            .estimator(high_fidelity(5))
+            .persistence()
+            .build()
+            .run();
+        let diagrams = swept.diagrams.as_ref().expect("persistence mode attaches diagrams");
+        let filtration = LaplacianFiltration::rips(&cloud, max_scale(&grid), 2, Metric::Euclidean);
+        for (j, (slice, &eps)) in swept.slices.iter().zip(&grid).enumerate() {
+            let rows = slice.persistence.as_ref().expect("persistence mode fills every slice");
+            for k in 0..=1usize {
+                let alone = BettiRequest::of_filtration(&filtration)
+                    .at_scale(eps)
+                    .dimension(k)
+                    .estimator(high_fidelity(5))
+                    .persistence()
+                    .build()
+                    .run();
+                let unit = alone.single_slice();
+                assert_eq!(unit.classical, [slice.classical[k]], "ε = {eps}, k = {k}");
+                assert_eq!(
+                    unit.estimates[0].corrected.to_bits(),
+                    slice.estimates[k].corrected.to_bits(),
+                    "ε = {eps}, k = {k}"
+                );
+                // A one-scale grid's row is the sweep row's diagonal.
+                let diagonal = rows.betti(k, j).expect("requested dimension served");
+                let row = unit.persistence.as_ref().and_then(|p| p.row(k));
+                assert_eq!(row, Some(&[diagonal][..]), "ε = {eps}, k = {k}");
+                let bars = alone.diagrams.as_ref().and_then(|d| d.bars(k));
+                assert_eq!(bars, diagrams.bars(k), "k = {k}");
             }
-            req.build().run()
-        };
-        let parallel = run(false);
-        let serial = run(true);
-        for (p, s) in parallel.slices.iter().zip(&serial.slices) {
-            assert_eq!(p.persistence, s.persistence);
         }
-        assert_eq!(parallel.diagrams, serial.diagrams);
     }
 
     #[test]

@@ -27,12 +27,25 @@ pub enum Delta {
 pub const DELTA_MAX: f64 = TAU * 63.0 / 64.0;
 
 impl Delta {
+    /// `true` unless an explicit δ falls outside `(0, 2π)` (NaN
+    /// included) — the precondition [`Self::resolve`] asserts, exposed
+    /// so callers can refuse a bad δ before any work starts.
+    pub fn is_valid(self) -> bool {
+        match self {
+            Delta::Auto => true,
+            Delta::Fixed(d) => d > 0.0 && d < TAU,
+        }
+    }
+
     /// Resolves to a concrete δ for a given λ̃_max bound.
+    ///
+    /// # Panics
+    /// If [`Self::is_valid`] does not hold.
     pub fn resolve(self, lambda_max: f64) -> f64 {
         match self {
             Delta::Auto => effective_lambda_max(lambda_max).min(DELTA_MAX),
             Delta::Fixed(d) => {
-                assert!(d > 0.0 && d < TAU, "δ must lie in (0, 2π), got {d}");
+                assert!(self.is_valid(), "δ must lie in (0, 2π), got {d}");
                 d
             }
         }

@@ -1,7 +1,8 @@
 //! The batch engine: scheduling, amortised construction, caching, QoS.
 //!
-//! [`BatchEngine::run_batch`] serves a whole batch of [`BettiJob`]s
-//! through three stages:
+//! [`BatchEngine::run`] is the one entry point. It serves a batch of
+//! [`JobRequest`]s — a [`BettiJob`] plus its [`QosPolicy`], tracer and
+//! ticket id — through three stages:
 //!
 //! 1. **Cache + dedup.** Each job's content fingerprint is looked up in
 //!    the LRU result cache and duplicate jobs *within* the batch
@@ -20,11 +21,13 @@
 //!    hot in cache for the estimates that follow and peak memory tracks
 //!    the jobs in flight, not the batch size
 //!    (`EngineStats::arena_bytes_peak` reports the high-water mark).
-//! 3. **Estimate (one unit per `(job, ε, dim)`).** Units fan out at the
-//!    finest granularity the request API exposes (a single-dimension
-//!    `qtda_core::query::Query`), pulled from a shared counter by
-//!    `workers` threads — work-stealing-style dynamic assignment, so
-//!    one slow job cannot idle the rest of the pool behind it.
+//! 3. **Estimate (one unit per `(job, ε, dim)`).** Each unit runs one
+//!    named unit body (`execute_unit`): a single
+//!    `qtda_core::query::unit_on_filtration` call routed by the job's
+//!    `sparse_threshold`, plus the unit's persistence payload. Units
+//!    are pulled from a shared counter by `workers` threads —
+//!    work-stealing-style dynamic assignment, so one slow job cannot
+//!    idle the rest of the pool behind it.
 //!
 //! Every estimator seed is derived from the batch seed and job content
 //! ([`crate::seed`]), so results are **bit-identical** across worker
@@ -32,16 +35,12 @@
 //!
 //! Serving-oriented extensions ride on the same machinery:
 //!
-//! * **Incremental completion.** [`BatchEngine::run_batch_streaming`]
-//!   announces every `(job, ε)` slice through a [`SliceSink`] the moment
+//! * **Incremental completion.** Given a [`SliceSink`],
+//!   [`BatchEngine::run`] announces every `(job, ε)` slice the moment
 //!   its last dimension unit finishes, so a streaming front-end (the
 //!   `qtda-service` crate) can deliver results while the rest of the
 //!   batch is still computing. What streams is bit-identical to what
-//!   [`BatchEngine::run_batch`] returns.
-//! * **Size-based dispatch.** [`EngineConfig::dispatch`] routes each
-//!   unit to the statevector / dense / sparse backend by `|S_k|`
-//!   (`qtda_core::pipeline::DispatchPolicy`); the default derives the
-//!   classic dense/sparse split from each job's `sparse_threshold`.
+//!   the call returns.
 //! * **Persistent homology.** A [`BettiJob::persistence`] job's units
 //!   additionally read exact persistent-Betti rows β_k(ε_i, ε_j) off
 //!   the shared arena (each ε against every earlier grid scale), and
@@ -50,39 +49,37 @@
 //!   [`JobResult::diagrams`] rides the same cache entry. All of it is
 //!   integer/interval data pinned bit-identical to the classical
 //!   barcode reduction, and `qtda_persist_*` counters track the spend.
-//! * **Quality of service.** [`BatchEngine::run_batch_qos`] accepts a
-//!   [`QosPolicy`] per job ([`JobRequest`]): the unit queue is ordered
-//!   by [`Priority`] class (Interactive first, Bulk last; ties keep the
-//!   plain-batch interleaving, so an all-[`Priority::Normal`] batch
-//!   schedules exactly like [`BatchEngine::run_batch`]), and each
+//! * **Quality of service.** The unit queue is ordered by each
+//!   request's [`Priority`] class (Interactive first, Bulk last; ties
+//!   keep the plain-batch interleaving, so an all-[`Priority::Normal`]
+//!   batch schedules exactly like [`BatchEngine::run_batch`]), and each
 //!   job's deadline/cancellation flags are checked at **unit
 //!   boundaries**: once every request interested in a computed job
 //!   (its submitter plus in-batch duplicates) asks to abort, the job's
 //!   remaining units are skipped, its arena is freed through the normal
-//!   last-unit path, and **nothing is inserted into the LRU cache**
-//!   (no partial results, and — regression-pinned — no doorkeeper
-//!   sighting either, so a cancelled probe never "pre-admits" a
-//!   fingerprint). Aborted jobs return [`JobOutcome::Aborted`];
-//!   priorities and aborts never change a *completed* result's bits.
+//!   last-unit path, and **nothing is inserted into the LRU cache** (no
+//!   partial results can poison a later lookup). Aborted jobs return
+//!   [`JobOutcome::Aborted`]; priorities and aborts never change a
+//!   *completed* result's bits.
+//!
+//! [`BatchEngine::run_batch`] and [`BatchEngine::run_job`] are thin
+//! wrappers over [`BatchEngine::run`] for plain jobs under the default
+//! (never-aborting) policy.
 
 use crate::cache::LruCache;
 use crate::job::BettiJob;
 use crate::seed::{job_seed, slice_seed};
-use qtda_core::estimator::BettiEstimate;
+use qtda_core::estimator::{BettiEstimate, EstimatorConfig};
 use qtda_core::persist::{self, PersistenceDiagrams, PersistencePair, SlicePersistence};
 use qtda_core::pipeline::DispatchPolicy;
-use qtda_core::query::{AbortReason, BettiRequest, Priority, QosPolicy, SpectrumShare};
+use qtda_core::query::{unit_on_filtration, AbortReason, Priority, QosPolicy, SpectrumShare};
+use qtda_core::SolveProfile;
 use qtda_obs::{Counter, EventKind, FlightRecorder, Gauge, MetricsRegistry, Tracer};
 use qtda_tda::laplacian_filtration::LaplacianFiltration;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-/// One request as `run_batch_inner` sees it: the job, its QoS policy,
-/// the (possibly disabled) per-ticket tracer, and the service-assigned
-/// ticket id (0 for direct engine callers).
-type Submission<'a> = (&'a BettiJob, &'a QosPolicy, &'a Tracer, u64);
 
 /// Records a per-request stage span when the `obs` feature is on. The
 /// disabled-`Tracer` check inside makes an untraced request cost one
@@ -132,40 +129,20 @@ pub struct EngineConfig {
     pub batch_seed: u64,
     /// LRU result-cache entries to retain across batches (`0` disables).
     pub cache_capacity: usize,
-    /// Gate cache admission behind a doorkeeper: a fingerprint is
-    /// admitted into the LRU only on its *second* sighting, so one-shot
-    /// sliding-window traffic cannot flush entries that earned their
-    /// place by repeating (see [`LruCache::with_doorkeeper`]). Results
-    /// never depend on this — only hit rates do.
-    pub cache_doorkeeper: bool,
-    /// Size-based backend routing for every `(job, ε, dim)` unit. `None`
-    /// (the default) derives the classic dense/sparse split from each
-    /// job's own `sparse_threshold`; `Some` overrides all jobs with one
-    /// engine-wide [`DispatchPolicy`] (including the gate-level
-    /// statevector tier for the smallest complexes). Replaying a slice
-    /// through the one-shot pipeline then needs the matching
-    /// `PipelineConfig` routing fields.
-    pub dispatch: Option<DispatchPolicy>,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        EngineConfig {
-            workers: 0,
-            batch_seed: 0,
-            cache_capacity: 256,
-            cache_doorkeeper: false,
-            dispatch: None,
-        }
+        EngineConfig { workers: 0, batch_seed: 0, cache_capacity: 256 }
     }
 }
 
 /// One QoS-carrying submission: a [`BettiJob`] plus the [`QosPolicy`]
 /// governing its scheduling class, deadline, and cancellation. The
-/// request shape [`BatchEngine::run_batch_qos`] consumes — the
-/// engine-level counterpart of a `qtda_core::query::BettiRequest`
-/// (owned job content instead of borrows, because requests outlive
-/// their submitters in a serving queue).
+/// request shape [`BatchEngine::run`] consumes — the engine-level
+/// counterpart of a `qtda_core::query::BettiRequest` (owned job content
+/// instead of borrows, because requests outlive their submitters in a
+/// serving queue).
 #[derive(Clone, Debug)]
 pub struct JobRequest {
     /// The job to serve.
@@ -327,7 +304,8 @@ impl JobResult {
 pub struct EngineStats {
     /// Jobs requested across all batches.
     pub jobs_served: u64,
-    /// Batches run (`run_batch`/`run_batch_streaming`/`…_qos` calls).
+    /// Batches run ([`BatchEngine::run`] calls, through either wrapper
+    /// too).
     pub batches_served: u64,
     /// Jobs answered from the LRU cache.
     pub cache_hits: u64,
@@ -430,8 +408,8 @@ pub enum SliceEvent {
 pub type SliceSink<'a> = dyn Fn(SliceEvent) + Sync + 'a;
 
 /// The batched multi-cloud Betti-serving engine. Construct once, call
-/// [`Self::run_batch`] (or the QoS-aware [`Self::run_batch_qos`]) per
-/// request batch; the result cache persists across calls.
+/// [`Self::run`] (or the plain-job [`Self::run_batch`]) per request
+/// batch; the result cache persists across calls.
 pub struct BatchEngine {
     config: EngineConfig,
     cache: Mutex<LruCache<Arc<CachedJob>>>,
@@ -560,16 +538,10 @@ impl BatchEngine {
         registry: Arc<MetricsRegistry>,
         recorder: Option<Arc<FlightRecorder>>,
     ) -> Self {
-        let cache = if config.cache_doorkeeper {
-            // Track first sightings for several cache generations so
-            // a repeat separated by a scan still proves itself.
-            LruCache::with_doorkeeper(config.cache_capacity, config.cache_capacity.max(1) * 8)
-        } else {
-            LruCache::new(config.cache_capacity)
-        };
+        let cache = Mutex::new(LruCache::new(config.cache_capacity));
         let metrics = EngineMetrics::register(&registry);
         let recorder = recorder.unwrap_or_else(|| Arc::new(FlightRecorder::disabled()));
-        BatchEngine { config, cache: Mutex::new(cache), registry, metrics, recorder }
+        BatchEngine { config, cache, registry, metrics, recorder }
     }
 
     /// An engine with [`EngineConfig::default`].
@@ -628,89 +600,46 @@ impl BatchEngine {
         self.run_batch(std::slice::from_ref(job)).pop().expect("one job in, one result out")
     }
 
-    /// Serves a batch, returning one result per job in input order.
-    /// Identical jobs are computed once, whether the duplicate sits in
-    /// this batch or in a previous one still cached. Every fingerprint
-    /// match is verified against the full request content
-    /// ([`BettiJob::same_request`]), so a 64-bit hash collision degrades
-    /// to a recompute, never to another request's results.
-    ///
-    /// This is [`Self::run_batch_qos`] under the default (Normal class,
-    /// never-aborting) policy — the FIFO reference the QoS determinism
-    /// tests pin against.
+    /// Serves a batch of plain jobs under the default (Normal class,
+    /// never-aborting) policy, returning one result per job in input
+    /// order — [`Self::run`] without a sink, and the FIFO reference the
+    /// QoS and streaming determinism tests pin against.
     pub fn run_batch(&self, jobs: &[BettiJob]) -> Vec<Arc<JobResult>> {
-        let default_qos = QosPolicy::default();
-        let no_trace = Tracer::disabled();
-        let refs: Vec<Submission<'_>> =
-            jobs.iter().map(|j| (j, &default_qos, &no_trace, 0)).collect();
-        self.run_batch_inner(&refs, None).into_iter().map(JobOutcome::expect_completed).collect()
+        let requests: Vec<JobRequest> = jobs.iter().cloned().map(JobRequest::new).collect();
+        self.run(&requests, None).into_iter().map(JobOutcome::expect_completed).collect()
     }
 
-    /// [`Self::run_batch`] with an incremental-completion hook: `sink`
-    /// is called once per `(job, slice)` the moment the slice's last
-    /// `(job, ε, dim)` unit finishes — cache-answered slices fire before
-    /// any unit runs, duplicates fire when their representative's slice
-    /// completes. The streamed [`SliceEvent`]s carry exactly the
-    /// [`SliceResult`]s of the returned [`JobResult`]s (bit-identical;
-    /// determinism is per-slice content, so *what* streams never depends
-    /// on worker count — only the completion order does).
-    pub fn run_batch_streaming(
-        &self,
-        jobs: &[BettiJob],
-        sink: &SliceSink<'_>,
-    ) -> Vec<Arc<JobResult>> {
-        let default_qos = QosPolicy::default();
-        let no_trace = Tracer::disabled();
-        let refs: Vec<Submission<'_>> =
-            jobs.iter().map(|j| (j, &default_qos, &no_trace, 0)).collect();
-        self.run_batch_inner(&refs, Some(sink))
-            .into_iter()
-            .map(JobOutcome::expect_completed)
-            .collect()
-    }
-
-    /// Serves a batch of QoS-carrying requests: units are scheduled in
-    /// [`Priority`] order and each request's deadline/cancellation is
-    /// checked at unit boundaries (see the module docs for the exact
-    /// abort semantics). Completed outcomes are **bit-identical** to
-    /// [`Self::run_batch`] of the same jobs and batch seed at any
-    /// worker count — QoS shapes scheduling and early exits, never
-    /// values.
-    pub fn run_batch_qos(&self, requests: &[JobRequest]) -> Vec<JobOutcome> {
-        let refs: Vec<Submission<'_>> =
-            requests.iter().map(|r| (&r.job, &r.qos, &r.trace, r.ticket)).collect();
-        self.run_batch_inner(&refs, None)
-    }
-
-    /// [`Self::run_batch_qos`] with the incremental-completion hook:
-    /// completed slices stream as [`SliceEvent::Slice`], and a request
-    /// abandoned mid-batch fires one final [`SliceEvent::Aborted`].
-    pub fn run_batch_streaming_qos(
-        &self,
-        requests: &[JobRequest],
-        sink: &SliceSink<'_>,
-    ) -> Vec<JobOutcome> {
-        let refs: Vec<Submission<'_>> =
-            requests.iter().map(|r| (&r.job, &r.qos, &r.trace, r.ticket)).collect();
-        self.run_batch_inner(&refs, Some(sink))
-    }
-
-    fn run_batch_inner(
-        &self,
-        requests: &[Submission<'_>],
-        sink: Option<&SliceSink<'_>>,
-    ) -> Vec<JobOutcome> {
+    /// Serves a batch of requests, returning one outcome per request in
+    /// input order. Identical jobs are computed once, whether the
+    /// duplicate sits in this batch or in a previous one still cached;
+    /// every fingerprint match is verified against the full request
+    /// content ([`BettiJob::same_request`]), so a 64-bit hash collision
+    /// degrades to a recompute, never to another request's results.
+    ///
+    /// Units run in [`Priority`] order and each request's
+    /// deadline/cancellation is checked at unit boundaries (see the
+    /// module docs for the exact abort semantics). With a `sink`, every
+    /// `(job, slice)` is announced the moment the slice's last unit
+    /// finishes — cache-answered slices fire before any unit runs,
+    /// duplicates fire when their representative's slice completes — and
+    /// a request abandoned mid-batch fires one final
+    /// [`SliceEvent::Aborted`]. Streamed slices carry exactly the
+    /// [`SliceResult`]s of the returned results, and completed outcomes
+    /// are **bit-identical** to [`Self::run_batch`] of the same jobs and
+    /// batch seed at any worker count: QoS and streaming shape
+    /// scheduling and early exits, never values.
+    pub fn run(&self, requests: &[JobRequest], sink: Option<&SliceSink<'_>>) -> Vec<JobOutcome> {
         self.metrics.jobs_served.add(requests.len() as u64);
         self.metrics.batches_served.inc();
         // Persistence jobs read β_k(ε_i, ε_j) over grid prefixes, which
         // only makes sense on an ascending grid — reject up front,
         // before any cache or unit work.
-        for (job, ..) in requests {
+        for JobRequest { job, .. } in requests {
             if job.persistence {
                 persist::assert_ascending_grid(&job.epsilons);
             }
         }
-        let fingerprints: Vec<u64> = requests.iter().map(|(job, ..)| job.fingerprint()).collect();
+        let fingerprints: Vec<u64> = requests.iter().map(|r| r.job.fingerprint()).collect();
 
         // Stage 1: verified cache lookups + in-batch dedup. `misses`
         // keeps the first job index per distinct uncached request;
@@ -722,14 +651,18 @@ impl BatchEngine {
             for (i, &fp) in fingerprints.iter().enumerate() {
                 let probe_started = Instant::now();
                 let cached = cache.get(fp).and_then(|entry| {
-                    entry.job.same_request(requests[i].0).then(|| Arc::clone(&entry.result))
+                    entry.job.same_request(&requests[i].job).then(|| Arc::clone(&entry.result))
                 });
-                record_stage(requests[i].2, "cache_probe", probe_started, Instant::now());
+                record_stage(&requests[i].trace, "cache_probe", probe_started, Instant::now());
                 if let Some(result) = cached {
                     self.metrics.cache_hits.inc();
-                    record_event(&self.recorder, EventKind::CacheHit, requests[i].3, fp, || {
-                        format!("slices={}", result.slices.len())
-                    });
+                    record_event(
+                        &self.recorder,
+                        EventKind::CacheHit,
+                        requests[i].ticket,
+                        fp,
+                        || format!("slices={}", result.slices.len()),
+                    );
                     results[i] = Some(result);
                 } else {
                     self.metrics.cache_misses.inc();
@@ -737,7 +670,7 @@ impl BatchEngine {
                 }
             }
         }
-        let jobs: Vec<&BettiJob> = requests.iter().map(|(job, ..)| *job).collect();
+        let jobs: Vec<&BettiJob> = requests.iter().map(|r| &r.job).collect();
         let (misses, dup_of) = plan_dedup(&jobs, &fingerprints, &uncached);
         self.metrics.deduplicated.add(dup_of.iter().filter(|d| d.is_some()).count() as u64);
         self.metrics.computed_jobs.add(misses.len() as u64);
@@ -765,7 +698,7 @@ impl BatchEngine {
         if let Some(sink) = sink {
             for (i, result) in results.iter().enumerate() {
                 if let Some(result) = result {
-                    if requests[i].1.cancel.is_cancelled() {
+                    if requests[i].qos.cancel.is_cancelled() {
                         sink(SliceEvent::Aborted { job_index: i, reason: AbortReason::Cancelled });
                         continue;
                     }
@@ -803,14 +736,16 @@ impl BatchEngine {
         // exactly the historical FIFO interleaving.
         let class_of: Vec<Priority> = parties
             .iter()
-            .map(|ps| ps.iter().map(|&i| requests[i].1.priority).min().unwrap_or(Priority::Normal))
+            .map(|ps| {
+                ps.iter().map(|&i| requests[i].qos.priority).min().unwrap_or(Priority::Normal)
+            })
             .collect();
         let dims_of: Vec<usize> =
-            misses.iter().map(|&j| requests[j].0.max_homology_dim + 1).collect();
+            misses.iter().map(|&j| requests[j].job.max_homology_dim + 1).collect();
         let unit_counts: Vec<usize> = misses
             .iter()
             .zip(&dims_of)
-            .map(|(&j, &dims)| requests[j].0.epsilons.len() * dims)
+            .map(|(&j, &dims)| requests[j].job.epsilons.len() * dims)
             .collect();
         let units = build_unit_queue(&class_of, &unit_counts, &dims_of, workers);
         self.metrics.units_last_batch.set(units.len() as u64);
@@ -820,7 +755,7 @@ impl BatchEngine {
                 arena: Mutex::new(None),
                 spectra: SpectrumShare::new(),
                 remaining_units: AtomicUsize::new(
-                    requests[j].0.epsilons.len() * (requests[j].0.max_homology_dim + 1),
+                    requests[j].job.epsilons.len() * (requests[j].job.max_homology_dim + 1),
                 ),
                 aborted: AtomicU8::new(ABORT_NONE),
             })
@@ -832,9 +767,9 @@ impl BatchEngine {
             misses
                 .iter()
                 .map(|&j| {
-                    let dims = requests[j].0.max_homology_dim + 1;
+                    let dims = requests[j].job.max_homology_dim + 1;
                     requests[j]
-                        .0
+                        .job
                         .epsilons
                         .iter()
                         .map(|_| StreamSlot {
@@ -847,7 +782,7 @@ impl BatchEngine {
         });
         let estimates: Vec<Option<UnitOutput>> = run_units(workers, units.len(), |u| {
             let unit = &units[u];
-            let job = requests[misses[unit.prep]].0;
+            let job = &requests[misses[unit.prep]].job;
             let slot = &preps[unit.prep];
             // Unit-boundary QoS check, *before* any construction: a
             // job is abandoned once every interested request has
@@ -859,7 +794,7 @@ impl BatchEngine {
             let skip = slot.aborted.load(Ordering::Acquire) != ABORT_NONE || {
                 let now = Instant::now();
                 let all_aborted =
-                    parties[unit.prep].iter().all(|&i| requests[i].1.abort_reason(now).is_some());
+                    parties[unit.prep].iter().all(|&i| requests[i].qos.abort_reason(now).is_some());
                 if all_aborted
                     && slot
                         .aborted
@@ -872,15 +807,21 @@ impl BatchEngine {
                         .is_ok()
                 {
                     for &i in &parties[unit.prep] {
-                        let reason =
-                            requests[i].1.abort_reason(now).expect("every party reported an abort");
+                        let reason = requests[i]
+                            .qos
+                            .abort_reason(now)
+                            .expect("every party reported an abort");
                         let kind = match reason {
                             AbortReason::Cancelled => EventKind::Cancel,
                             AbortReason::DeadlineExceeded => EventKind::DeadlineExpired,
                         };
-                        record_event(&self.recorder, kind, requests[i].3, fingerprints[i], || {
-                            "at=unit_boundary".to_string()
-                        });
+                        record_event(
+                            &self.recorder,
+                            kind,
+                            requests[i].ticket,
+                            fingerprints[i],
+                            || "at=unit_boundary".to_string(),
+                        );
                         if let Some(sink) = sink {
                             sink(SliceEvent::Aborted { job_index: i, reason });
                         }
@@ -931,7 +872,7 @@ impl BatchEngine {
                                 self.metrics.arena_bytes_peak.set_max(live);
                                 for &i in &parties[unit.prep] {
                                     record_stage(
-                                        requests[i].2,
+                                        &requests[i].trace,
                                         "arena_build",
                                         build_started,
                                         build_done,
@@ -945,64 +886,30 @@ impl BatchEngine {
                 let js = job_seed(self.config.batch_seed, fingerprints[misses[unit.prep]]);
                 let epsilon = job.epsilons[unit.eps];
                 let seed = slice_seed(js, epsilon);
-                let config = qtda_core::estimator::EstimatorConfig { seed, ..job.estimator };
-                let policy = self
-                    .config
-                    .dispatch
-                    .unwrap_or_else(|| DispatchPolicy::from_sparse_threshold(job.sparse_threshold));
-                // One unit = one single-dimension query against the
-                // shared arena — the same executor every layer runs.
-                // The job-wide spectrum share lets ε-units whose slice
-                // resolves to the same triplet prefix reuse one block-
-                // Lanczos decomposition (bit-identical by construction).
-                let solve_started = Instant::now();
-                let output = BettiRequest::of_filtration(&arena)
-                    .at_scale(epsilon)
-                    .dimension(unit.dim)
-                    .estimator(config)
-                    .dispatch(policy)
-                    .share_spectra(&slot.spectra)
-                    .build()
-                    .run();
-                let solve_done = Instant::now();
-                for &i in &parties[unit.prep] {
-                    record_stage(requests[i].2, "solve", solve_started, solve_done);
-                }
-                // Solver cost profiling: the unit's QuerySlice carries
-                // the aggregated matvec/Lanczos counts its backends
-                // recorded (empty on the dense path or with `obs` off).
-                let profile = output.slices.first().map(|s| s.profile).unwrap_or_default();
-                self.metrics.solve_matvecs.add(profile.matvecs);
-                self.metrics.lanczos_iterations.add(profile.lanczos_iterations);
-                self.metrics.lanczos_restarts.add(profile.restarts);
-                let (estimate, classical) = output.unit();
-                // Persistence payload: this unit's persistent-Betti row
-                // (grid prefix → this ε) read from the same shared
-                // arena; the last grid scale's units also reduce their
-                // dimension's diagram. Exact integer/interval data —
-                // worker counts and scheduling cannot move a bit.
-                let unit_persist = job.persistence.then(|| {
-                    let persist_started = Instant::now();
-                    let row =
-                        arena.persistent_betti_row(unit.dim, &job.epsilons[..=unit.eps], epsilon);
-                    let bars = (unit.eps + 1 == job.epsilons.len()).then(|| arena.bars(unit.dim));
-                    let persist_done = Instant::now();
+                let run = execute_unit(job, &arena, &slot.spectra, unit.eps, unit.dim, seed);
+                let record = |name: &str, (start, end): (Instant, Instant)| {
                     for &i in &parties[unit.prep] {
-                        record_stage(requests[i].2, "persistence", persist_started, persist_done);
+                        record_stage(&requests[i].trace, name, start, end);
                     }
+                };
+                record("solve", run.solve);
+                self.metrics.solve_matvecs.add(run.profile.matvecs);
+                self.metrics.lanczos_iterations.add(run.profile.lanczos_iterations);
+                self.metrics.lanczos_restarts.add(run.profile.restarts);
+                if let (Some(span), Some(persist)) = (run.persist, &run.output.2) {
+                    record("persistence", span);
                     self.metrics.persist_units.inc();
-                    self.metrics.persist_rows.add(row.len() as u64);
-                    if let Some(bars) = &bars {
+                    self.metrics.persist_rows.add(persist.row.len() as u64);
+                    if let Some(bars) = &persist.bars {
                         self.metrics.persist_pairs.add(bars.len() as u64);
                     }
-                    UnitPersist { row, bars }
-                });
-                let result = (estimate, classical, unit_persist);
+                }
+                let result = run.output;
                 self.metrics.units_executed.inc();
                 record_event(
                     &self.recorder,
                     EventKind::UnitDone,
-                    requests[misses[unit.prep]].3,
+                    requests[misses[unit.prep]].ticket,
                     fingerprints[misses[unit.prep]],
                     || format!("eps={epsilon},dim={}", unit.dim),
                 );
@@ -1019,7 +926,7 @@ impl BatchEngine {
                         let dims = stream.dims.lock().expect("stream slot poisoned");
                         let slice = assemble_slice_result(epsilon, seed, job.persistence, &dims);
                         for &job_index in &parties[unit.prep] {
-                            if !requests[job_index].1.cancel.is_cancelled() {
+                            if !requests[job_index].qos.cancel.is_cancelled() {
                                 sink(SliceEvent::Slice {
                                     job_index,
                                     slice_index: unit.eps,
@@ -1052,7 +959,10 @@ impl BatchEngine {
         let mut per_job: PerJobResults = misses
             .iter()
             .map(|&j| {
-                vec![vec![None; requests[j].0.max_homology_dim + 1]; requests[j].0.epsilons.len()]
+                vec![
+                    vec![None; requests[j].job.max_homology_dim + 1];
+                    requests[j].job.epsilons.len()
+                ]
             })
             .collect();
         for (unit, est) in units.iter().zip(estimates) {
@@ -1065,15 +975,13 @@ impl BatchEngine {
         // have left nothing in the cache, even when the cancel landed
         // after the last unit's boundary check (a fast job can finish
         // all its units before a cancel issued mid-stream arrives).
-        let cancelled: Vec<bool> =
-            requests.iter().map(|(_, qos, ..)| qos.cancel.is_cancelled()).collect();
+        let cancelled: Vec<bool> = requests.iter().map(|r| r.qos.cancel.is_cancelled()).collect();
 
         // Assemble per computed job, publish to the cache, then resolve
         // the in-batch duplicates through their representative miss.
         // Aborted jobs are **skipped entirely**: no partial result is
-        // assembled, nothing touches the LRU — neither an entry nor a
-        // doorkeeper sighting — so an abort can never poison future
-        // lookups. Colliding requests overwrite each other's cache slot
+        // assembled and nothing touches the LRU, so an abort can never
+        // poison future lookups. Colliding requests overwrite each other's cache slot
         // (last wins); the loser's next lookup fails verification and
         // simply recomputes.
         {
@@ -1084,7 +992,7 @@ impl BatchEngine {
                 {
                     continue;
                 }
-                let job = requests[job_idx].0;
+                let job = &requests[job_idx].job;
                 let js = job_seed(self.config.batch_seed, fingerprints[job_idx]);
                 let slices: Vec<SliceResult> = job
                     .epsilons
@@ -1149,7 +1057,7 @@ impl BatchEngine {
                     record_event(
                         &self.recorder,
                         EventKind::Abort,
-                        requests[i].3,
+                        requests[i].ticket,
                         fingerprints[i],
                         || "reason=cancelled".to_string(),
                     );
@@ -1162,7 +1070,7 @@ impl BatchEngine {
                 };
                 match resolved {
                     Some(result) => {
-                        self.metrics.served_by_class[requests[i].1.priority.index()].inc();
+                        self.metrics.served_by_class[requests[i].qos.priority.index()].inc();
                         JobOutcome::Completed(result)
                     }
                     None => {
@@ -1171,14 +1079,14 @@ impl BatchEngine {
                         // one — cancellation was handled above, so this
                         // is a deadline).
                         let reason = requests[i]
-                            .1
+                            .qos
                             .abort_reason(now)
                             .unwrap_or(AbortReason::DeadlineExceeded);
                         self.metrics.jobs_deadline_expired.inc();
                         record_event(
                             &self.recorder,
                             EventKind::Abort,
-                            requests[i].3,
+                            requests[i].ticket,
                             fingerprints[i],
                             || format!("reason={reason}"),
                         );
@@ -1193,6 +1101,54 @@ impl BatchEngine {
 /// What one `(job, ε, dim)` unit produces: the estimate, the classical
 /// cross-check, and (persistence jobs only) the persistence payload.
 type UnitOutput = (BettiEstimate, usize, Option<UnitPersist>);
+
+/// What [`execute_unit`] hands back to the engine loop: the unit's
+/// output, the solver cost it burned (matvec/Lanczos counts; empty on
+/// the dense route or with `obs` off), and the instants of its `solve`
+/// span and — persistence jobs only — its `persistence` span.
+struct UnitRun {
+    output: UnitOutput,
+    profile: SolveProfile,
+    solve: (Instant, Instant),
+    persist: Option<(Instant, Instant)>,
+}
+
+/// The unit body: one `(job, ε, dim)` estimate against the job's shared
+/// arena — a single-dimension [`unit_on_filtration`] call routed by the
+/// job's `sparse_threshold`, with sparse decompositions shared across
+/// the job's units through `spectra` (bit-identical by construction) —
+/// plus, on persistence jobs, the unit's persistent-Betti row (grid
+/// prefix → this ε) and, at the grid's last scale, its dimension's
+/// diagram. A pure function of job content, arena and seed, so worker
+/// counts and scheduling cannot move a bit; the engine loop around it
+/// owns the QoS check, the arena's lifetime, metrics, events and
+/// streaming.
+fn execute_unit(
+    job: &BettiJob,
+    arena: &LaplacianFiltration,
+    spectra: &SpectrumShare,
+    eps: usize,
+    dim: usize,
+    seed: u64,
+) -> UnitRun {
+    let epsilon = job.epsilons[eps];
+    let config = EstimatorConfig { seed, ..job.estimator };
+    let policy = DispatchPolicy::from_sparse_threshold(job.sparse_threshold);
+    let solve_started = Instant::now();
+    let (estimate, classical, profile) =
+        unit_on_filtration(arena, epsilon, dim, &config, policy, Some(spectra));
+    let solve = (solve_started, Instant::now());
+    let (persist, persist_span) = job
+        .persistence
+        .then(|| {
+            let started = Instant::now();
+            let row = arena.persistent_betti_row(dim, &job.epsilons[..=eps], epsilon);
+            let bars = (eps + 1 == job.epsilons.len()).then(|| arena.bars(dim));
+            (UnitPersist { row, bars }, (started, Instant::now()))
+        })
+        .unzip();
+    UnitRun { output: (estimate, classical, persist), profile, solve, persist: persist_span }
+}
 
 /// The persistence payload of one `(ε, dim)` unit: the dimension's
 /// persistent-Betti row over the grid prefix ending at this ε, plus —
@@ -1363,10 +1319,15 @@ fn run_units<T: Send>(workers: usize, n: usize, f: impl Fn(usize) -> T + Sync) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qtda_obs::Trace;
     use qtda_tda::point_cloud::PointCloud;
 
     fn job(coords: Vec<f64>) -> BettiJob {
         BettiJob::new(PointCloud::new(2, coords), vec![0.6, 1.2])
+    }
+
+    fn requests(jobs: &[BettiJob]) -> Vec<JobRequest> {
+        jobs.iter().cloned().map(JobRequest::new).collect()
     }
 
     #[test]
@@ -1432,8 +1393,11 @@ mod tests {
         engine.run_job(&a); // put `a` in the cache
         let jobs = [b.clone(), a.clone(), b]; // compute, hit, duplicate
         let events: Mutex<Vec<SliceEvent>> = Mutex::new(Vec::new());
-        let results =
-            engine.run_batch_streaming(&jobs, &|ev| events.lock().expect("sink poisoned").push(ev));
+        let results: Vec<Arc<JobResult>> = engine
+            .run(&requests(&jobs), Some(&|ev| events.lock().expect("sink poisoned").push(ev)))
+            .into_iter()
+            .map(JobOutcome::expect_completed)
+            .collect();
         let events = events.into_inner().expect("sink poisoned");
         let expected: usize = jobs.iter().map(|j| j.epsilons.len()).sum();
         assert_eq!(events.len(), expected, "one event per (job, slice)");
@@ -1469,9 +1433,12 @@ mod tests {
         let collected =
             BatchEngine::new(EngineConfig { cache_capacity: 0, ..EngineConfig::default() })
                 .run_batch(&jobs);
-        let streamed =
+        let streamed: Vec<Arc<JobResult>> =
             BatchEngine::new(EngineConfig { cache_capacity: 0, ..EngineConfig::default() })
-                .run_batch_streaming(&jobs, &|_| {});
+                .run(&requests(&jobs), Some(&|_| {}))
+                .into_iter()
+                .map(JobOutcome::expect_completed)
+                .collect();
         for (c, s) in collected.iter().zip(&streamed) {
             assert_eq!(c.fingerprint, s.fingerprint);
             for (a, b) in c.features().iter().zip(s.features()) {
@@ -1535,28 +1502,6 @@ mod tests {
     }
 
     #[test]
-    fn doorkeeper_keeps_hot_entries_through_one_shot_scans() {
-        let engine = BatchEngine::new(EngineConfig {
-            cache_capacity: 2,
-            cache_doorkeeper: true,
-            ..EngineConfig::default()
-        });
-        let hot = job(vec![0.0, 0.0, 1.0, 0.0, 0.0, 1.0]);
-        engine.run_job(&hot); // first sighting: computed, not admitted
-        engine.run_job(&hot); // second sighting: recomputed and admitted
-        assert_eq!(engine.stats().cache_hits, 0);
-        // A scan of one-shot windows (each seen once) must not evict it.
-        for i in 0..6 {
-            engine.run_job(&job(vec![0.0, 0.0, 1.0 + i as f64, 0.0]));
-        }
-        engine.run_job(&hot);
-        let stats = engine.stats();
-        assert_eq!(stats.cache_hits, 1, "the hot entry survived the scan");
-        assert_eq!(stats.cache_evictions, 0, "one-shot traffic was never admitted");
-        assert_eq!(stats.cache_misses, stats.jobs_served - 1);
-    }
-
-    #[test]
     fn stats_track_batches_and_units() {
         let engine = BatchEngine::with_defaults();
         let j = job(vec![0.0, 0.0, 1.0, 0.0, 0.0, 1.0]);
@@ -1616,8 +1561,7 @@ mod tests {
                 .run_batch(&jobs);
         let engine =
             BatchEngine::new(EngineConfig { cache_capacity: 0, ..EngineConfig::default() });
-        let outcomes =
-            engine.run_batch_qos(&jobs.iter().cloned().map(JobRequest::new).collect::<Vec<_>>());
+        let outcomes = engine.run(&requests(&jobs), None);
         for (outcome, reference) in outcomes.iter().zip(&reference) {
             let result = outcome.result().expect("default QoS always completes");
             for (a, b) in result.features().iter().zip(reference.features()) {
@@ -1632,7 +1576,7 @@ mod tests {
         let j = job(vec![0.0, 0.0, 1.0, 0.0, 0.0, 1.0]);
         let qos = QosPolicy::default();
         qos.cancel_token().cancel();
-        let outcomes = engine.run_batch_qos(&[JobRequest::with_qos(j.clone(), qos)]);
+        let outcomes = engine.run(&[JobRequest::with_qos(j.clone(), qos)], None);
         assert!(
             matches!(outcomes[0], JobOutcome::Aborted(AbortReason::Cancelled)),
             "pre-cancelled request must abort"
@@ -1659,7 +1603,7 @@ mod tests {
         let expired =
             QosPolicy::default().with_deadline(Instant::now() - std::time::Duration::from_secs(1));
         let outcomes = engine
-            .run_batch_qos(&[JobRequest::with_qos(j.clone(), expired), JobRequest::new(j.clone())]);
+            .run(&[JobRequest::with_qos(j.clone(), expired), JobRequest::new(j.clone())], None);
         let healthy = outcomes[1].result().expect("healthy duplicate completes");
         let via_expired = outcomes[0]
             .result()
@@ -1674,7 +1618,7 @@ mod tests {
         let j = job(vec![0.0, 0.0, 1.0, 0.0, 0.0, 1.0]);
         let expired =
             QosPolicy::default().with_deadline(Instant::now() - std::time::Duration::from_secs(1));
-        let outcomes = engine.run_batch_qos(&[JobRequest::with_qos(j, expired)]);
+        let outcomes = engine.run(&[JobRequest::with_qos(j, expired)], None);
         assert!(matches!(outcomes[0], JobOutcome::Aborted(AbortReason::DeadlineExceeded)));
         let stats = engine.stats();
         assert_eq!(stats.jobs_deadline_expired, 1);
@@ -1734,11 +1678,14 @@ mod tests {
             JobRequest::with_qos(job(vec![0.0, 0.0, 3.0, 0.0, 0.0, 3.0]), QosPolicy::interactive()),
         ];
         let first_done: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-        let outcomes = engine.run_batch_streaming_qos(&jobs, &|event| {
-            if let SliceEvent::Slice { job_index, .. } = event {
-                first_done.lock().expect("sink poisoned").push(job_index);
-            }
-        });
+        let outcomes = engine.run(
+            &jobs,
+            Some(&|event| {
+                if let SliceEvent::Slice { job_index, .. } = event {
+                    first_done.lock().expect("sink poisoned").push(job_index);
+                }
+            }),
+        );
         assert!(outcomes.iter().all(|o| o.result().is_some()));
         let order = first_done.into_inner().expect("sink poisoned");
         assert_eq!(order[0], 2, "the interactive job's first slice completes first: {order:?}");
@@ -1793,12 +1740,15 @@ mod tests {
         // Serial worker: the first completed slice cancels both
         // parties, so the next unit's boundary check abandons the job
         // with the arena still resident.
-        let outcomes = engine.run_batch_streaming_qos(&requests, &|event| {
-            if matches!(event, SliceEvent::Slice { .. }) {
-                token_a.cancel();
-                token_b.cancel();
-            }
-        });
+        let outcomes = engine.run(
+            &requests,
+            Some(&|event| {
+                if matches!(event, SliceEvent::Slice { .. }) {
+                    token_a.cancel();
+                    token_b.cancel();
+                }
+            }),
+        );
         for outcome in &outcomes {
             assert!(matches!(outcome, JobOutcome::Aborted(AbortReason::Cancelled)));
         }
@@ -1813,24 +1763,38 @@ mod tests {
     fn per_request_traces_record_stage_spans() {
         let engine = BatchEngine::new(EngineConfig { workers: 1, ..EngineConfig::default() });
         let j = job(vec![0.0, 0.0, 1.0, 0.0, 0.0, 1.0]);
-        let tracer = Tracer::new();
-        let outcomes =
-            engine.run_batch_qos(&[JobRequest::new(j.clone()).with_trace(tracer.clone())]);
-        assert!(outcomes[0].result().is_some());
+        let persistent = job(vec![0.0, 0.0, 2.0, 0.0, 0.0, 2.0, 2.0, 2.0]).with_persistence();
+        let (tracer, persist_tracer) = (Tracer::new(), Tracer::new());
+        let outcomes = engine.run(
+            &[
+                JobRequest::new(j.clone()).with_trace(tracer.clone()),
+                JobRequest::new(persistent).with_trace(persist_tracer.clone()),
+            ],
+            None,
+        );
+        assert!(outcomes.iter().all(|o| o.result().is_some()));
         let trace = tracer.snapshot().expect("live tracer");
+        let persist_trace = persist_tracer.snapshot().expect("live tracer");
+        let count =
+            |trace: &Trace, name: &str| trace.spans.iter().filter(|s| s.name == name).count();
         #[cfg(feature = "obs")]
         {
             assert!(trace.stage("cache_probe").is_some());
             assert!(trace.stage("arena_build").is_some());
-            let solves = trace.spans.iter().filter(|s| s.name == "solve").count();
-            assert_eq!(solves, 4, "one solve span per (ε, dim) unit");
+            assert_eq!(count(&trace, "solve"), 4, "one solve span per (ε, dim) unit");
+            assert_eq!(count(&trace, "persistence"), 0, "a plain job has no persistence span");
+            assert_eq!(count(&persist_trace, "solve"), 4);
+            assert_eq!(count(&persist_trace, "persistence"), 4, "one per persistence unit");
         }
         #[cfg(not(feature = "obs"))]
-        assert!(trace.spans.is_empty(), "spans compile away without the obs feature");
+        {
+            assert!(trace.spans.is_empty(), "spans compile away without the obs feature");
+            assert_eq!(count(&persist_trace, "persistence"), 0);
+        }
 
         // A cache-answered repeat probes but never builds or solves.
         let repeat = Tracer::new();
-        engine.run_batch_qos(&[JobRequest::new(j).with_trace(repeat.clone())]);
+        engine.run(&[JobRequest::new(j).with_trace(repeat.clone())], None);
         let trace = repeat.snapshot().expect("live tracer");
         assert!(trace.stage("arena_build").is_none());
         assert!(trace.stage("solve").is_none());
@@ -1849,7 +1813,7 @@ mod tests {
             let engine = BatchEngine::with_observability(config, Arc::new(registry), None);
             let traced: Vec<JobRequest> =
                 jobs.iter().map(|j| JobRequest::new(j.clone()).with_trace(Tracer::new())).collect();
-            let outcomes = engine.run_batch_qos(&traced);
+            let outcomes = engine.run(&traced, None);
             for (outcome, reference) in outcomes.iter().zip(&reference) {
                 let result = outcome.result().expect("default QoS completes");
                 assert_eq!(result.fingerprint, reference.fingerprint);
@@ -1868,12 +1832,11 @@ mod tests {
         use rand::SeedableRng;
         let mut rng = StdRng::seed_from_u64(23);
         let cloud = synthetic::circle(14, 1.0, 0.02, &mut rng);
-        let engine = BatchEngine::new(EngineConfig {
-            dispatch: Some(DispatchPolicy::from_sparse_threshold(1)),
-            cache_capacity: 0,
-            ..EngineConfig::default()
-        });
-        engine.run_job(&BettiJob::new(cloud, vec![0.6]));
+        let engine =
+            BatchEngine::new(EngineConfig { cache_capacity: 0, ..EngineConfig::default() });
+        let mut job = BettiJob::new(cloud, vec![0.6]);
+        job.sparse_threshold = 1;
+        engine.run_job(&job);
         let snap = engine.registry().snapshot();
         assert!(
             snap.counter("qtda_engine_solve_matvecs_total") > 0,

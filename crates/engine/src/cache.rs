@@ -1,5 +1,4 @@
-//! A small LRU cache for served job results, with an optional admission
-//! doorkeeper.
+//! A small LRU cache for served job results.
 //!
 //! Serving traffic repeats itself: the same recent windows get queried
 //! by several downstream consumers (classifier ensembles, dashboards,
@@ -8,15 +7,6 @@
 //! exact result a recompute would produce (seeds are content-derived,
 //! see [`crate::seed`]), so caching is observable only through latency
 //! and the hit counters.
-//!
-//! **Admission.** A sliding-window stream also produces long runs of
-//! *near*-duplicate windows that are each queried exactly once; admitted
-//! eagerly, that one-shot traffic flushes the genuinely hot entries out
-//! of a small LRU. [`LruCache::with_doorkeeper`] therefore gates
-//! admission TinyLFU-style: a fingerprint is remembered on its first
-//! sighting and only admitted into the LRU on its second, so a key earns
-//! a slot by repeating. Hits and refreshes of already-cached keys are
-//! unaffected.
 //!
 //! The implementation favours being obviously correct over asymptotics:
 //! a `HashMap` plus a monotone recency stamp, with an `O(len)` scan on
@@ -32,7 +22,6 @@ pub struct LruCache<V> {
     tick: u64,
     evictions: u64,
     map: HashMap<u64, Entry<V>>,
-    doorkeeper: Option<Doorkeeper>,
 }
 
 #[derive(Clone, Debug)]
@@ -41,54 +30,12 @@ struct Entry<V> {
     last_used: u64,
 }
 
-/// First-sighting memory for admission gating: remembers fingerprints
-/// seen once (bounded, oldest-first eviction) so the cache can admit a
-/// key only when it proves it repeats.
-#[derive(Clone, Debug)]
-struct Doorkeeper {
-    capacity: usize,
-    seen: HashMap<u64, u64>,
-}
-
-impl Doorkeeper {
-    /// Records a sighting of `key`; returns `true` when the key had been
-    /// sighted before (i.e. this is at least the second time).
-    fn note(&mut self, key: u64, tick: u64) -> bool {
-        if self.seen.remove(&key).is_some() {
-            return true;
-        }
-        if self.seen.len() >= self.capacity {
-            if let Some(&oldest) = self.seen.iter().min_by_key(|(_, &t)| t).map(|(k, _)| k) {
-                self.seen.remove(&oldest);
-            }
-        }
-        self.seen.insert(key, tick);
-        false
-    }
-}
-
 impl<V: Clone> LruCache<V> {
     /// A cache holding at most `capacity` entries, admitting every
     /// insert; `0` disables caching (every `get` misses, every `insert`
     /// is dropped).
     pub fn new(capacity: usize) -> Self {
-        LruCache { capacity, tick: 0, evictions: 0, map: HashMap::new(), doorkeeper: None }
-    }
-
-    /// A cache that admits a *new* fingerprint only on its second
-    /// sighting: the first `insert` of a key records it in a bounded
-    /// first-sighting set (`tracked` entries, oldest evicted first) and
-    /// drops the value; a later `insert` of the same key admits it. Keys
-    /// already cached always refresh. One-shot traffic therefore never
-    /// evicts entries that earned their place by repeating.
-    pub fn with_doorkeeper(capacity: usize, tracked: usize) -> Self {
-        LruCache {
-            capacity,
-            tick: 0,
-            evictions: 0,
-            map: HashMap::new(),
-            doorkeeper: Some(Doorkeeper { capacity: tracked.max(1), seen: HashMap::new() }),
-        }
+        LruCache { capacity, tick: 0, evictions: 0, map: HashMap::new() }
     }
 
     /// Maximum number of entries.
@@ -106,8 +53,7 @@ impl<V: Clone> LruCache<V> {
         self.map.is_empty()
     }
 
-    /// Entries evicted (capacity pressure only — doorkeeper rejections
-    /// are not evictions) since construction.
+    /// Entries evicted under capacity pressure since construction.
     pub fn evictions(&self) -> u64 {
         self.evictions
     }
@@ -123,8 +69,7 @@ impl<V: Clone> LruCache<V> {
     }
 
     /// Inserts (or refreshes) an entry, evicting the least-recently-used
-    /// one if the cache is full. With a doorkeeper, a key not yet cached
-    /// is admitted only on its second sighting.
+    /// one if the cache is full.
     pub fn insert(&mut self, key: u64, value: V) {
         if self.capacity == 0 {
             return;
@@ -135,11 +80,6 @@ impl<V: Clone> LruCache<V> {
             e.value = value;
             e.last_used = tick;
             return;
-        }
-        if let Some(doorkeeper) = self.doorkeeper.as_mut() {
-            if !doorkeeper.note(key, tick) {
-                return;
-            }
         }
         if self.map.len() >= self.capacity {
             if let Some(&oldest) = self.map.iter().min_by_key(|(_, e)| e.last_used).map(|(k, _)| k)
@@ -199,11 +139,6 @@ mod tests {
         assert_eq!(c.get(1), None);
         assert!(c.is_empty());
         assert_eq!(c.evictions(), 0);
-
-        let mut gated = LruCache::with_doorkeeper(0, 16);
-        gated.insert(1, "a");
-        gated.insert(1, "a");
-        assert_eq!(gated.get(1), None, "capacity 0 disables the doorkeeper variant too");
     }
 
     /// Interleaved get/insert traffic against a brute-force recency
@@ -254,45 +189,5 @@ mod tests {
         for (key, value) in model {
             assert_eq!(cache.get(key), Some(value), "surviving key {key}");
         }
-    }
-
-    #[test]
-    fn doorkeeper_admits_only_on_second_sighting() {
-        let mut c = LruCache::with_doorkeeper(4, 16);
-        c.insert(1, "a");
-        assert_eq!(c.get(1), None, "first sighting is remembered, not admitted");
-        c.insert(1, "a");
-        assert_eq!(c.get(1), Some("a"), "second sighting admits");
-        c.insert(1, "a2");
-        assert_eq!(c.get(1), Some("a2"), "cached keys refresh without re-proving");
-    }
-
-    #[test]
-    fn one_shot_traffic_does_not_evict_hot_entries() {
-        let mut c = LruCache::with_doorkeeper(2, 64);
-        for key in [1, 1, 2, 2] {
-            c.insert(key, key * 10);
-        }
-        assert_eq!(c.len(), 2, "both hot keys admitted");
-        // A long scan of one-shot keys — without the doorkeeper this
-        // would evict both hot entries (capacity is only 2).
-        for key in 100..140 {
-            c.insert(key, key);
-        }
-        assert_eq!(c.get(1), Some(10), "hot entry 1 survived the scan");
-        assert_eq!(c.get(2), Some(20), "hot entry 2 survived the scan");
-        assert_eq!(c.evictions(), 0, "nothing was admitted, so nothing was evicted");
-    }
-
-    #[test]
-    fn doorkeeper_first_sighting_memory_is_bounded() {
-        let mut c = LruCache::with_doorkeeper(4, 2);
-        c.insert(1, 1);
-        c.insert(2, 2);
-        c.insert(3, 3); // evicts key 1 from the (2-entry) first-sighting set
-        c.insert(1, 1);
-        assert_eq!(c.get(1), None, "key 1's first sighting was forgotten — still not admitted");
-        c.insert(3, 3);
-        assert_eq!(c.get(3), Some(3), "key 3 was still remembered and admits");
     }
 }

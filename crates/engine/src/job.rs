@@ -61,7 +61,8 @@ impl BettiJob {
     }
 
     /// Checks that the job can be served: every coordinate and every ε
-    /// is finite, and the grid ascends when persistence is on. Negative
+    /// is finite, the grid ascends when persistence is on, an explicit
+    /// δ lies in `(0, 2π)` and at least one shot is sampled. Negative
     /// scales stay legal (they serve empty slices). The service runs
     /// this at admission, so a malformed job is refused with its cause
     /// instead of reaching the batcher.
@@ -75,6 +76,12 @@ impl BettiJob {
         }
         if self.persistence && !is_ascending_grid(&self.epsilons) {
             return Err(JobError::DescendingGrid);
+        }
+        if !self.estimator.delta.is_valid() {
+            return Err(JobError::DeltaOutOfRange);
+        }
+        if self.estimator.shots == 0 {
+            return Err(JobError::ZeroShots);
         }
         Ok(())
     }
@@ -185,6 +192,10 @@ pub enum JobError {
     },
     /// Persistence is on, but the ε-grid does not ascend.
     DescendingGrid,
+    /// The estimator's explicit δ lies outside `(0, 2π)`.
+    DeltaOutOfRange,
+    /// The estimator samples no shots, so `p(0)` is undefined.
+    ZeroShots,
 }
 
 impl std::fmt::Display for JobError {
@@ -195,6 +206,8 @@ impl std::fmt::Display for JobError {
             }
             JobError::NonFiniteEpsilon { index } => write!(f, "ε-grid entry {index} is not finite"),
             JobError::DescendingGrid => write!(f, "persistence mode requires an ascending ε-grid"),
+            JobError::DeltaOutOfRange => write!(f, "estimator δ must lie in (0, 2π)"),
+            JobError::ZeroShots => write!(f, "estimator needs at least one shot"),
         }
     }
 }
@@ -358,6 +371,14 @@ mod tests {
             BettiJob::new(square_cloud(), vec![0.9, 0.6]).with_persistence().validate(),
             Err(JobError::DescendingGrid)
         );
+        for delta in [7.0, std::f64::consts::TAU, 0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut job = BettiJob::new(square_cloud(), vec![0.5]);
+            job.estimator.delta = Delta::Fixed(delta);
+            assert_eq!(job.validate(), Err(JobError::DeltaOutOfRange), "δ = {delta}");
+        }
+        let mut no_shots = BettiJob::new(square_cloud(), vec![0.5]);
+        no_shots.estimator.shots = 0;
+        assert_eq!(no_shots.validate(), Err(JobError::ZeroShots));
     }
 
     #[test]

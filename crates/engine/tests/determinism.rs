@@ -60,21 +60,13 @@ fn assert_estimates_identical(a: &BettiEstimate, b: &BettiEstimate, context: &st
 #[test]
 fn determinism_same_seed_across_1_2_and_8_workers() {
     let jobs = mixed_batch();
-    let reference = BatchEngine::new(EngineConfig {
-        workers: 1,
-        batch_seed: 0xBA7C,
-        cache_capacity: 0,
-        ..EngineConfig::default()
-    })
-    .run_batch(&jobs);
+    let reference =
+        BatchEngine::new(EngineConfig { workers: 1, batch_seed: 0xBA7C, cache_capacity: 0 })
+            .run_batch(&jobs);
     for workers in [2usize, 8] {
-        let results = BatchEngine::new(EngineConfig {
-            workers,
-            batch_seed: 0xBA7C,
-            cache_capacity: 0,
-            ..EngineConfig::default()
-        })
-        .run_batch(&jobs);
+        let results =
+            BatchEngine::new(EngineConfig { workers, batch_seed: 0xBA7C, cache_capacity: 0 })
+                .run_batch(&jobs);
         for (i, (r, expect)) in results.iter().zip(&reference).enumerate() {
             assert_job_results_identical(r, expect, &format!("job {i}, {workers} workers"));
         }
@@ -104,21 +96,13 @@ fn large_sparse_route_is_deterministic_across_worker_counts() {
     job.estimator =
         EstimatorConfig { precision_qubits: 5, shots: 2000, ..EstimatorConfig::default() };
     job.max_homology_dim = 1;
-    let reference = BatchEngine::new(EngineConfig {
-        workers: 1,
-        batch_seed: 0x5EED,
-        cache_capacity: 0,
-        ..EngineConfig::default()
-    })
-    .run_job(&job);
+    let reference =
+        BatchEngine::new(EngineConfig { workers: 1, batch_seed: 0x5EED, cache_capacity: 0 })
+            .run_job(&job);
     for workers in [2usize, 8] {
-        let result = BatchEngine::new(EngineConfig {
-            workers,
-            batch_seed: 0x5EED,
-            cache_capacity: 0,
-            ..EngineConfig::default()
-        })
-        .run_job(&job);
+        let result =
+            BatchEngine::new(EngineConfig { workers, batch_seed: 0x5EED, cache_capacity: 0 })
+                .run_job(&job);
         assert_job_results_identical(&result, &reference, &format!("{workers} workers"));
     }
     // Replay every slice through the one-shot pipeline (which routes the

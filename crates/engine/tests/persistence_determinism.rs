@@ -7,7 +7,9 @@
 
 use qtda_core::estimator::EstimatorConfig;
 use qtda_core::query::BettiRequest;
-use qtda_engine::{BatchEngine, BettiJob, EngineConfig, JobResult, SliceEvent};
+use qtda_engine::{
+    BatchEngine, BettiJob, EngineConfig, JobOutcome, JobRequest, JobResult, SliceEvent,
+};
 use qtda_tda::filtration::{max_scale, Filtration};
 use qtda_tda::laplacian_filtration::LaplacianFiltration;
 use qtda_tda::persistence::compute_barcode;
@@ -57,14 +59,8 @@ fn assert_persistence_identical(a: &JobResult, b: &JobResult, context: &str) {
 #[test]
 fn persistence_payloads_are_bit_identical_across_1_2_and_8_workers() {
     let jobs = persistence_batch();
-    let engine = |workers| {
-        BatchEngine::new(EngineConfig {
-            workers,
-            batch_seed: 0xBEE5,
-            cache_capacity: 0,
-            ..EngineConfig::default()
-        })
-    };
+    let engine =
+        |workers| BatchEngine::new(EngineConfig { workers, batch_seed: 0xBEE5, cache_capacity: 0 });
     let reference = engine(1).run_batch(&jobs);
     for slice in reference.iter().flat_map(|r| &r.slices) {
         assert!(slice.persistence.is_some(), "every persistence slice carries its rows");
@@ -99,10 +95,11 @@ fn streamed_slices_carry_the_same_persistence_as_the_collected_results() {
     let jobs = persistence_batch();
     let engine = BatchEngine::new(EngineConfig { cache_capacity: 0, ..Default::default() });
     let events: Mutex<Vec<SliceEvent>> = Mutex::new(Vec::new());
-    let results =
-        engine.run_batch_streaming(&jobs, &|ev| events.lock().expect("sink poisoned").push(ev));
+    let requests: Vec<JobRequest> = jobs.into_iter().map(JobRequest::new).collect();
+    let outcomes =
+        engine.run(&requests, Some(&|ev| events.lock().expect("sink poisoned").push(ev)));
     let events = events.into_inner().expect("sink poisoned");
-    for (i, result) in results.iter().enumerate() {
+    for (i, result) in outcomes.into_iter().map(JobOutcome::expect_completed).enumerate() {
         for (slice_index, returned) in result.slices.iter().enumerate() {
             let streamed = events
                 .iter()

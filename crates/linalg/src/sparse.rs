@@ -206,9 +206,9 @@ impl CsrMatrix {
 
     /// Allocation-free `y ← A·x` through the cache-blocked kernel.
     ///
-    /// Rows are processed in fixed [`ROW_BLOCK`]-row blocks (parallel
+    /// Rows are processed in fixed `ROW_BLOCK`-row blocks (parallel
     /// past [`PAR_ROWS`], serial below); each row sums through
-    /// [`row_kernel`]'s fixed 4-lane order, so the result is
+    /// `row_kernel`'s fixed 4-lane order, so the result is
     /// bit-identical to [`Self::matvec`] at any worker count.
     pub fn matvec_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.n_cols, "dimension mismatch");

@@ -2,7 +2,7 @@
 //!
 //! An SLO here is a statement about *recent* behaviour — "interactive
 //! p95 under 100 ms", "abort ratio under 1 %" — evaluated over the
-//! [`RollingWindow`](crate::RollingWindow) rather than the cumulative
+//! [`RollingWindow`] rather than the cumulative
 //! registry (a latency regression must be able to *clear* once the
 //! service recovers; cumulative quantiles never forget).
 //!

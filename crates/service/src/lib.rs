@@ -29,9 +29,9 @@
 //!   units complete* — the engine's incremental-completion hook fires
 //!   mid-batch — and finishes with the assembled
 //!   [`JobResult`](qtda_engine::JobResult).
-//! * **Size-based dispatch.** A [`DispatchPolicy`] routes every
-//!   `(job, ε, dim)` unit to the statevector, dense-eigensolve, or
-//!   sparse-Lanczos backend by `|S_k|` (see [`dispatch`]).
+//! * **Size-based routing.** Each job's `sparse_threshold` routes its
+//!   `(job, ε, dim)` units to the dense-eigensolve or sparse-Lanczos
+//!   backend by `|S_k|`.
 //! * **Determinism survives.** Seeds are content-derived, so streamed
 //!   results are bit-identical to
 //!   [`BatchEngine::run_batch`](qtda_engine::BatchEngine::run_batch)
@@ -64,13 +64,11 @@
 #![deny(deprecated)]
 #![forbid(unsafe_code)]
 
-pub mod dispatch;
 pub mod queue;
 pub mod service;
 pub mod stats;
 pub mod ticket;
 
-pub use dispatch::{serving_policy, validating_policy, BackendKind, DispatchPolicy};
 // `MetricsRegistry`/`MetricsSnapshot` — and the whole ops surface
 // (flight recorder, scrape server, rolling windows, SLO tracking) —
 // re-exported so callers can build a [`Telemetry`], serve scrapes, and

@@ -1,15 +1,13 @@
 //! The bounded **priority** submission queue: where backpressure and
 //! serving classes live.
 //!
-//! Producers push [`Request`]s, the batcher thread pops them. The queue
+//! Producers push requests, the batcher thread pops them. The queue
 //! holds one ring per [`Priority`] class under a shared capacity bound:
-//! [`SubmissionQueue::try_push`] refuses instead of growing
-//! ([`SubmitError::Overloaded`]), and [`SubmissionQueue::push_blocking`]
-//! parks the producer until a slot frees — the two standard
-//! backpressure contracts. Closing the queue
-//! ([`SubmissionQueue::close`]) rejects new submissions but lets the
-//! batcher drain everything already accepted, which is what gives
-//! `shutdown()` its no-lost-work guarantee.
+//! `try_push` refuses instead of growing ([`SubmitError::Overloaded`]),
+//! and `push_blocking` parks the producer until a slot frees — the two
+//! standard backpressure contracts. Closing the queue rejects new
+//! submissions but lets the batcher drain everything already accepted,
+//! which is what gives `shutdown()` its no-lost-work guarantee.
 //!
 //! **Pop order.** A pop serves the highest-priority non-empty class
 //! (Interactive → Normal → Bulk), FIFO within a class. Strict priority
@@ -30,7 +28,7 @@
 //! batcher waits, with a deadline while lingering for a micro-batch).
 
 use crate::ticket::TicketEvent;
-use qtda_engine::{BettiJob, JobError, Priority, QosPolicy, Tracer};
+use qtda_engine::{BettiJob, JobError, JobRequest, Priority};
 use qtda_obs::Gauge;
 use std::collections::VecDeque;
 use std::sync::mpsc::Sender;
@@ -39,22 +37,17 @@ use std::time::Instant;
 
 /// One accepted submission travelling from a producer to the batcher.
 pub(crate) struct Request {
-    /// The job to serve.
-    pub job: BettiJob,
-    /// Its quality-of-service policy (class, deadline, cancel token).
-    pub qos: QosPolicy,
+    /// What the engine serves: the job, its quality-of-service policy,
+    /// its per-ticket tracer (disabled unless the service was built
+    /// with ticket tracing on) and its service-assigned ticket id
+    /// (starts at 1), stamped on every flight-recorder event this
+    /// request produces, service- and engine-side alike.
+    pub work: JobRequest,
     /// Where this request's ticket listens.
     pub tx: Sender<TicketEvent>,
     /// When the producer handed the job over (micro-batch deadlines and
     /// latency accounting key off this).
     pub accepted_at: Instant,
-    /// Per-ticket stage tracer (disabled unless the service was built
-    /// with ticket tracing on).
-    pub trace: Tracer,
-    /// The service-assigned ticket id (starts at 1) stamped on every
-    /// flight-recorder event this request produces, service- and
-    /// engine-side alike.
-    pub ticket: u64,
 }
 
 /// Why a submission was not accepted. Boxed so the error path stays as
@@ -206,12 +199,12 @@ impl SubmissionQueue {
     pub fn try_push(&self, request: Request) -> Result<(), SubmitError> {
         let mut state = self.state.lock().expect("queue poisoned");
         if state.closed {
-            return Err(SubmitError::ShuttingDown(Box::new(request.job)));
+            return Err(SubmitError::ShuttingDown(Box::new(request.work.job)));
         }
         if state.len() >= self.capacity {
-            return Err(SubmitError::Overloaded(Box::new(request.job)));
+            return Err(SubmitError::Overloaded(Box::new(request.work.job)));
         }
-        let class = request.qos.priority.index();
+        let class = request.work.qos.priority.index();
         state.classes[class].push_back(request);
         self.depth.set(state.len() as u64);
         drop(state);
@@ -227,9 +220,9 @@ impl SubmissionQueue {
             state = self.not_full.wait(state).expect("queue poisoned");
         }
         if state.closed {
-            return Err(SubmitError::ShuttingDown(Box::new(request.job)));
+            return Err(SubmitError::ShuttingDown(Box::new(request.work.job)));
         }
-        let class = request.qos.priority.index();
+        let class = request.work.qos.priority.index();
         state.classes[class].push_back(request);
         self.depth.set(state.len() as u64);
         drop(state);
@@ -307,20 +300,20 @@ impl SubmissionQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qtda_engine::QosPolicy;
     use qtda_tda::point_cloud::PointCloud;
     use std::sync::mpsc::channel;
     use std::time::Duration;
 
     fn request_with(qos: QosPolicy, tag: f64) -> Request {
         let (tx, _rx) = channel();
-        Request {
-            job: BettiJob::new(PointCloud::new(1, vec![0.0, 1.0]), vec![tag]),
-            qos,
-            tx,
-            accepted_at: Instant::now(),
-            trace: Tracer::disabled(),
-            ticket: 0,
-        }
+        let job = BettiJob::new(PointCloud::new(1, vec![0.0, 1.0]), vec![tag]);
+        Request { work: JobRequest::with_qos(job, qos), tx, accepted_at: Instant::now() }
+    }
+
+    /// The ε tag a test request was built with.
+    fn tag(request: Request) -> f64 {
+        request.work.job.epsilons[0]
     }
 
     fn request() -> Request {
@@ -401,7 +394,7 @@ mod tests {
         q.try_push(request_with(QosPolicy::interactive(), 3.0)).unwrap();
         q.try_push(request_with(QosPolicy::interactive(), 4.0)).unwrap();
         q.try_push(request_with(QosPolicy::normal(), 5.0)).unwrap();
-        let order: Vec<f64> = (0..5).map(|_| q.pop_blocking().unwrap().job.epsilons[0]).collect();
+        let order: Vec<f64> = (0..5).map(|_| tag(q.pop_blocking().unwrap())).collect();
         assert_eq!(order, vec![3.0, 4.0, 2.0, 5.0, 1.0]);
     }
 
@@ -415,7 +408,7 @@ mod tests {
         for i in 0..10 {
             q.try_push(request_with(QosPolicy::interactive(), i as f64)).unwrap();
         }
-        let order: Vec<f64> = (0..12).map(|_| q.pop_blocking().unwrap().job.epsilons[0]).collect();
+        let order: Vec<f64> = (0..12).map(|_| tag(q.pop_blocking().unwrap())).collect();
         // Three interactive pops bypass the waiting bulk, then the
         // fourth serves the bulk tail; same again; the rest drain FIFO.
         assert_eq!(order, vec![0.0, 1.0, 2.0, 100.0, 3.0, 4.0, 5.0, 101.0, 6.0, 7.0, 8.0, 9.0]);
@@ -438,7 +431,7 @@ mod tests {
         for i in 0..8 {
             q.try_push(request_with(QosPolicy::interactive(), i as f64)).unwrap();
         }
-        let order: Vec<f64> = (0..11).map(|_| q.pop_blocking().unwrap().job.epsilons[0]).collect();
+        let order: Vec<f64> = (0..11).map(|_| tag(q.pop_blocking().unwrap())).collect();
         // Bypasses at every 3rd pop serve, by age: Bulk 100, Bulk 101,
         // then the Normal request — it waits behind older Bulk heads
         // only, not behind the entire Bulk tail.
@@ -453,13 +446,13 @@ mod tests {
         for i in 0..5 {
             q.try_push(request_with(QosPolicy::interactive(), i as f64)).unwrap();
         }
-        let order: Vec<f64> = (0..5).map(|_| q.pop_blocking().unwrap().job.epsilons[0]).collect();
+        let order: Vec<f64> = (0..5).map(|_| tag(q.pop_blocking().unwrap())).collect();
         assert_eq!(order, vec![0.0, 1.0, 2.0, 3.0, 4.0]);
         // A bulk job arriving later is not owed an immediate bypass.
         q.try_push(request_with(QosPolicy::interactive(), 10.0)).unwrap();
         q.try_push(request_with(QosPolicy::bulk(), 11.0)).unwrap();
-        assert_eq!(q.pop_blocking().unwrap().job.epsilons[0], 10.0);
-        assert_eq!(q.pop_blocking().unwrap().job.epsilons[0], 11.0);
+        assert_eq!(tag(q.pop_blocking().unwrap()), 10.0);
+        assert_eq!(tag(q.pop_blocking().unwrap()), 11.0);
     }
 
     #[test]

@@ -14,15 +14,16 @@
 //! 2. **Linger**: keep gathering requests until the micro-batch reaches
 //!    [`ServiceConfig::max_batch_size`] or the first request has waited
 //!    out the linger deadline — the classic (size, deadline)
-//!    micro-batching policy, made **priority-aware**: the moment the
+//!    micro-batching policy, made **adaptive** (the deadline shrinks as
+//!    the backlog grows) and **priority-aware**: the moment the
 //!    batch holds (or the queue offers) an [`Priority::Interactive`]
 //!    request, the linger collapses to zero and the batch closes early.
 //!    Lingering exists to gather company for throughput; an interactive
 //!    request is paying latency for it. Shutdown also cuts a linger
 //!    short.
-//! 3. Hand the micro-batch to the engine's streaming QoS entry point;
-//!    every completed `(job, ε)` slice is forwarded to its ticket the
-//!    moment the engine announces it, aborts forward as terminal
+//! 3. Hand the micro-batch to [`BatchEngine::run`] with a streaming
+//!    sink; every completed `(job, ε)` slice is forwarded to its ticket
+//!    the moment the engine announces it, aborts forward as terminal
 //!    `Aborted` events, and the assembled outcomes follow.
 //!
 //! Batching amortises exactly what [`BatchEngine`] amortises (in-batch
@@ -43,7 +44,7 @@ use qtda_engine::{
 use qtda_obs::{OpsState, ScrapeServer};
 use std::net::ToSocketAddrs;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::channel;
+use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -72,7 +73,7 @@ fn record_request_event(
     detail: impl FnOnce() -> String,
 ) {
     if recorder.is_enabled() {
-        recorder.record(kind, request.ticket, request.job.fingerprint(), detail());
+        recorder.record(kind, request.work.ticket, request.work.job.fingerprint(), detail());
     }
 }
 
@@ -96,8 +97,8 @@ fn prepared_submit_event(
     request: &Request,
 ) -> Option<(u64, u64, String)> {
     if recorder.is_enabled() {
-        let detail = format!("class={}", class_label(request.qos.priority));
-        Some((request.ticket, request.job.fingerprint(), detail))
+        let detail = format!("class={}", class_label(request.work.qos.priority));
+        Some((request.work.ticket, request.work.job.fingerprint(), detail))
     } else {
         None
     }
@@ -120,8 +121,8 @@ fn record_batch_formed(recorder: &FlightRecorder, batch: &[(Request, Instant)]) 
         for (request, _) in batch {
             recorder.record(
                 EventKind::BatchFormed,
-                request.ticket,
-                request.job.fingerprint(),
+                request.work.ticket,
+                request.work.job.fingerprint(),
                 format!("size={size}"),
             );
         }
@@ -141,38 +142,33 @@ fn class_label(priority: Priority) -> &'static str {
     }
 }
 
+/// Starvation guard for the priority queue: after this many consecutive
+/// pops that bypassed a waiting lower class, the next pop serves the
+/// **oldest** passed-over request instead, so Bulk (and Normal) work
+/// keeps flowing under sustained higher-class load.
+const PRIORITY_BYPASS: usize = 4;
+
 /// Streaming front-end parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct ServiceConfig {
-    /// The owned engine's configuration (workers, batch seed, cache,
-    /// dispatch policy). Worker count shapes only throughput, never
-    /// results.
+    /// The owned engine's configuration (workers, batch seed, cache).
+    /// Worker count shapes only throughput, never results.
     pub engine: EngineConfig,
     /// Most jobs a micro-batch may gather before it must run.
     pub max_batch_size: usize,
     /// Longest the *first* request of a micro-batch may wait for
-    /// company before the batch runs regardless of size.
+    /// company before the batch runs regardless of size. The linger is
+    /// adaptive: lingering exists to gather company for *sparse*
+    /// traffic, so at a backlog (gathered batch + queued submissions)
+    /// of `b` the effective deadline is `max_linger · (1 −
+    /// b/max_batch_size)` — zero once the batch can fill. Never affects
+    /// results (micro-batch grouping is unobservable; seeds are
+    /// content-derived), only latency.
     pub max_linger: Duration,
     /// Bounded submission-queue capacity (shared across priority
     /// classes); beyond it `try_submit` returns
     /// [`SubmitError::Overloaded`] and `submit` blocks.
     pub queue_capacity: usize,
-    /// Shrink the linger deadline toward zero as the backlog (gathered
-    /// batch + queued submissions) approaches the batch size: lingering
-    /// exists to gather company for *sparse* traffic, so when the
-    /// batcher is already behind, waiting out the full deadline only
-    /// adds latency while the engine idles. At a backlog of `b` the
-    /// effective linger is `max_linger · (1 − b/max_batch_size)` —
-    /// zero once the batch can fill. Never affects results (micro-batch
-    /// grouping is unobservable; seeds are content-derived), only
-    /// latency.
-    pub adaptive_linger: bool,
-    /// Starvation guard for the priority queue: after this many
-    /// consecutive pops that bypassed a waiting lower class, the next
-    /// pop serves the **oldest** passed-over request instead, so Bulk
-    /// (and Normal) work keeps flowing under sustained higher-class
-    /// load. Must be ≥ 1.
-    pub priority_bypass: usize,
 }
 
 impl Default for ServiceConfig {
@@ -182,8 +178,6 @@ impl Default for ServiceConfig {
             max_batch_size: 16,
             max_linger: Duration::from_millis(2),
             queue_capacity: 256,
-            adaptive_linger: true,
-            priority_bypass: 4,
         }
     }
 }
@@ -302,7 +296,7 @@ impl QtdaService {
         ));
         let queue = Arc::new(SubmissionQueue::with_depth_gauge(
             config.queue_capacity,
-            config.priority_bypass,
+            PRIORITY_BYPASS,
             registry.gauge("qtda_service_queue_depth"),
         ));
         let counters = Arc::new(Counters::register(&registry));
@@ -348,7 +342,7 @@ impl QtdaService {
     /// [`Ticket::cancel`]). Blocks while the queue is full.
     pub fn submit_with(&self, job: BettiJob, qos: QosPolicy) -> Result<Ticket, SubmitError> {
         let (request, ticket) = self.make_request(job, qos);
-        let priority = request.qos.priority;
+        let priority = request.work.qos.priority;
         let submit_event = prepared_submit_event(self.engine.recorder(), &request);
         let journal_key = submit_event.as_ref().map(|(t, f, _)| (*t, *f));
         self.stamp_submit(submit_event);
@@ -371,7 +365,7 @@ impl QtdaService {
     /// [`Self::submit_with`] without blocking.
     pub fn try_submit_with(&self, job: BettiJob, qos: QosPolicy) -> Result<Ticket, SubmitError> {
         let (request, ticket) = self.make_request(job, qos);
-        let priority = request.qos.priority;
+        let priority = request.work.qos.priority;
         let submit_event = prepared_submit_event(self.engine.recorder(), &request);
         let journal_key = submit_event.as_ref().map(|(t, f, _)| (*t, *f));
         self.stamp_submit(submit_event);
@@ -401,11 +395,11 @@ impl QtdaService {
         request: Request,
         journal_key: Option<(u64, u64)>,
     ) -> Result<Request, SubmitError> {
-        match request.job.validate() {
+        match request.work.job.validate() {
             Ok(()) => Ok(request),
             Err(cause) => {
                 self.stamp_rejected(journal_key, &format!("invalid cause=\"{cause}\""));
-                Err(SubmitError::Invalid(Box::new(request.job), cause))
+                Err(SubmitError::Invalid(Box::new(request.work.job), cause))
             }
         }
     }
@@ -446,8 +440,8 @@ impl QtdaService {
         // Ticket ids start at 1: id 0 is the engine's "no ticket"
         // sentinel for jobs submitted through the raw batch API.
         let id = self.next_ticket.fetch_add(1, Ordering::Relaxed) + 1;
-        let request =
-            Request { job, qos, tx, accepted_at: Instant::now(), trace: trace.clone(), ticket: id };
+        let work = JobRequest::with_qos(job, qos).with_trace(trace.clone()).with_ticket(id);
+        let request = Request { work, tx, accepted_at: Instant::now() };
         (request, Ticket { rx, outcome: None, cancel, trace, id })
     }
 
@@ -588,18 +582,17 @@ fn batcher_loop(
             // request anywhere in the batch (or already waiting in the
             // queue) zeroes it outright: express traffic never waits
             // for company it does not need.
-            let interactive = batch.iter().any(|(r, _)| r.qos.priority == Priority::Interactive)
-                || queue.interactive_waiting();
+            let interactive =
+                batch.iter().any(|(r, _)| r.work.qos.priority == Priority::Interactive)
+                    || queue.interactive_waiting();
             let linger = if interactive {
                 Duration::ZERO
-            } else if config.adaptive_linger {
+            } else {
                 effective_linger(
                     config.max_linger,
                     batch.len() + queue.len(),
                     config.max_batch_size,
                 )
-            } else {
-                config.max_linger
             };
             match queue.pop_until(accepted_at + linger) {
                 Some(request) => admit(request, counters, recorder, &mut batch),
@@ -617,43 +610,39 @@ fn batcher_loop(
         // throughput.
         let dispatched_at = Instant::now();
         for (r, popped_at) in &batch {
-            record_stage(&r.trace, "linger", *popped_at, dispatched_at);
+            record_stage(&r.work.trace, "linger", *popped_at, dispatched_at);
         }
-        let requests: Vec<JobRequest> = batch
-            .iter()
-            .map(|(r, _)| JobRequest {
-                job: r.job.clone(),
-                qos: r.qos.clone(),
-                trace: r.trace.clone(),
-                ticket: r.ticket,
-            })
-            .collect();
-        let parties: Vec<Request> = batch.into_iter().map(|(r, _)| r).collect();
+        let (requests, replies): (Vec<JobRequest>, Vec<(Sender<TicketEvent>, Instant)>) =
+            batch.into_iter().map(|(r, _)| (r.work, (r.tx, r.accepted_at))).unzip();
         // Stream every slice to its ticket as the engine announces it;
         // engine-side aborts forward as terminal events immediately.
         // A send only fails when the consumer dropped the ticket —
         // results are simply discarded then, like any lost interest.
-        let outcomes =
-            engine.run_batch_streaming_qos(&requests, &|event: SliceEvent| match event {
-                SliceEvent::Slice { job_index, slice_index, result } => {
-                    let slice = StreamedSlice { slice_index, result };
-                    let _ = parties[job_index].tx.send(TicketEvent::Slice(slice));
-                }
-                SliceEvent::Aborted { job_index, reason } => {
-                    let _ = parties[job_index].tx.send(TicketEvent::Aborted(reason));
-                }
-            });
+        let sink = |event: SliceEvent| match event {
+            SliceEvent::Slice { job_index, slice_index, result } => {
+                let slice = StreamedSlice { slice_index, result };
+                let _ = replies[job_index].0.send(TicketEvent::Slice(slice));
+            }
+            SliceEvent::Aborted { job_index, reason } => {
+                let _ = replies[job_index].0.send(TicketEvent::Aborted(reason));
+            }
+        };
+        let outcomes = engine.run(&requests, Some(&sink));
         let delivery_started = Instant::now();
-        for (request, outcome) in parties.iter().zip(outcomes) {
+        for ((request, (tx, accepted_at)), outcome) in requests.iter().zip(&replies).zip(outcomes) {
             // Count (and close the trace) before sending: a consumer
             // that observes a terminal event must never read a counter
             // that excludes its job, nor a trace missing its delivery.
-            counters.record_request_latency(request.qos.priority, request.accepted_at.elapsed());
-            record_stage(&request.trace, "delivery", delivery_started, Instant::now());
+            // The `delivery` span ends at the instant the latency is
+            // measured to, so a ticket's trace reproduces it exactly.
+            let delivered_at = Instant::now();
+            let latency = delivered_at.duration_since(*accepted_at);
+            counters.record_request_latency(request.qos.priority, latency);
+            record_stage(&request.trace, "delivery", delivery_started, delivered_at);
             match outcome {
                 JobOutcome::Completed(result) => {
                     counters.completed.inc();
-                    let _ = request.tx.send(TicketEvent::Done(result));
+                    let _ = tx.send(TicketEvent::Done(result));
                 }
                 JobOutcome::Aborted(reason) => {
                     counters.record_abort(reason);
@@ -663,7 +652,7 @@ fn batcher_loop(
                     recorder.capture_abort(request.ticket);
                     // Possibly a duplicate of the engine's streamed
                     // abort — the ticket keeps the first terminal event.
-                    let _ = request.tx.send(TicketEvent::Aborted(reason));
+                    let _ = tx.send(TicketEvent::Aborted(reason));
                 }
             }
         }
@@ -683,7 +672,7 @@ fn admit(
 ) {
     let popped_at = Instant::now();
     counters.record_queue_wait(popped_at.duration_since(request.accepted_at));
-    record_stage(&request.trace, "queue_wait", request.accepted_at, popped_at);
+    record_stage(&request.work.trace, "queue_wait", request.accepted_at, popped_at);
     if !abort_if_dead(&request, counters, recorder) {
         batch.push((request, popped_at));
     }
@@ -700,13 +689,13 @@ fn admit(
 /// "best-effort deadline never discards a ready answer" semantics the
 /// engine implements, kept uniform across layers.
 fn abort_if_dead(request: &Request, counters: &Counters, recorder: &FlightRecorder) -> bool {
-    if request.qos.cancel.is_cancelled() {
+    if request.work.qos.cancel.is_cancelled() {
         counters.record_abort(qtda_engine::AbortReason::Cancelled);
         // This request dies before ever reaching the engine, so the
         // service stamps the full terminal chain itself.
         record_request_event(recorder, EventKind::Cancel, request, || "at=queue".into());
         record_request_event(recorder, EventKind::Abort, request, || "reason=cancelled".into());
-        recorder.capture_abort(request.ticket);
+        recorder.capture_abort(request.work.ticket);
         let _ = request.tx.send(TicketEvent::Aborted(qtda_engine::AbortReason::Cancelled));
         true
     } else {

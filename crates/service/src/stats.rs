@@ -8,11 +8,10 @@
 //! per-class served counts) available through
 //! `QtdaService::engine().stats()`.
 //!
-//! The storage behind both is the service's
-//! [`MetricsRegistry`](qtda_obs::MetricsRegistry): [`Counters`] is a
-//! bundle of `qtda_service_*` metric handles, so the same numbers that
-//! feed `ServiceStats` appear in the Prometheus/JSON exposition —
-//! alongside the per-class request latency histogram
+//! The storage behind both is the service's [`MetricsRegistry`]:
+//! `Counters` is a bundle of `qtda_service_*` metric handles, so the
+//! same numbers that feed `ServiceStats` appear in the Prometheus/JSON
+//! exposition — alongside the per-class request latency histogram
 //! (`qtda_service_request_seconds`) and the queue-wait histogram
 //! (`qtda_service_queue_wait_seconds`) that have no `ServiceStats`
 //! field at all.

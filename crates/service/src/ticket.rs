@@ -14,7 +14,7 @@
 //! [`BatchEngine::run_batch`](qtda_engine::BatchEngine::run_batch).
 //!
 //! **Cancellation** is a method on the ticket: [`Ticket::cancel`] trips
-//! the request's [`CancelToken`](qtda_engine::CancelToken), which the
+//! the request's [`CancelToken`], which the
 //! queue, batcher, and engine all poll at their unit boundaries. It is
 //! cooperative and sticky — the ticket's terminal state is then
 //! guaranteed to be [`TicketOutcome::Aborted`] with

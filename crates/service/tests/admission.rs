@@ -10,8 +10,13 @@
 //!   the job back, names its cause in `Display` and in the rejected
 //!   journal chain, and its `Debug` form summarises the job instead of
 //!   printing every coordinate.
+//! * Estimator fields that would panic or poison a worker — a fixed δ
+//!   outside (0, 2π), NaN included, or zero shots — are refused with
+//!   their own causes, and the healthy neighbours complete
+//!   bit-identical to `run_batch`.
 
 use qtda_core::estimator::EstimatorConfig;
+use qtda_core::scaling::Delta;
 use qtda_engine::{BatchEngine, BettiJob, EngineConfig};
 use qtda_service::{
     EventKind, JobError, QtdaService, ServiceConfig, SubmitError, Telemetry, TicketOutcome,
@@ -99,5 +104,46 @@ fn non_finite_job_is_refused_with_its_cause() {
     let ticket = service.try_submit(circle_job(4, vec![0.8])).expect("service still accepts");
     assert!(matches!(ticket.outcome(), TicketOutcome::Completed(_)));
     assert!(service.is_ready());
+    service.shutdown();
+}
+
+#[test]
+fn invalid_estimator_fields_are_refused_and_their_neighbours_complete() {
+    let healthy = [circle_job(5, vec![0.5, 0.9]), circle_job(6, vec![0.4, 0.8]).with_persistence()];
+    let reference = BatchEngine::new(service_config().engine).run_batch(&healthy);
+    let with_delta = |delta: f64| {
+        let mut job = circle_job(7, vec![0.6]);
+        job.estimator.delta = Delta::Fixed(delta);
+        job
+    };
+    let mut no_shots = circle_job(8, vec![0.6]);
+    no_shots.estimator.shots = 0;
+    let invalid = [
+        (with_delta(7.0), JobError::DeltaOutOfRange),
+        (with_delta(f64::NAN), JobError::DeltaOutOfRange),
+        (no_shots, JobError::ZeroShots),
+    ];
+
+    let service = QtdaService::new(service_config());
+    let first = service.submit(healthy[0].clone()).expect("healthy job accepted");
+    for (job, cause) in invalid {
+        let Err(err) = service.submit(job.clone()) else {
+            panic!("a job whose {cause} must be refused");
+        };
+        assert!(matches!(&err, SubmitError::Invalid(_, c) if *c == cause), "{err:?}");
+        assert!(err.to_string().contains(&cause.to_string()), "Display names the cause: {err}");
+        assert!(err.into_job().same_request(&job), "the refused job is handed back");
+    }
+    let second = service.submit(healthy[1].clone()).expect("service still accepts");
+
+    for (i, (ticket, want)) in [first, second].into_iter().zip(&reference).enumerate() {
+        match ticket.outcome() {
+            TicketOutcome::Completed(got) => {
+                assert_eq!(format!("{got:?}"), format!("{want:?}"), "neighbour {i}");
+            }
+            TicketOutcome::Aborted(reason) => panic!("neighbour {i} aborted: {reason:?}"),
+        }
+    }
+    assert!(service.is_ready(), "refused jobs leave the service ready");
     service.shutdown();
 }

@@ -40,12 +40,7 @@ fn small_jobs() -> Vec<BettiJob> {
 
 fn service_config() -> ServiceConfig {
     ServiceConfig {
-        engine: EngineConfig {
-            workers: 2,
-            batch_seed: BATCH_SEED,
-            cache_capacity: 4,
-            ..EngineConfig::default()
-        },
+        engine: EngineConfig { workers: 2, batch_seed: BATCH_SEED, cache_capacity: 4 },
         max_batch_size: 4,
         max_linger: Duration::from_millis(30),
         ..ServiceConfig::default()

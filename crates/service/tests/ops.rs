@@ -7,7 +7,7 @@
 //!   the probe outlives the service it watches.
 //! * A rolling window over the service registry reports a p95 for
 //!   `qtda_service_request_seconds{class=interactive}` that matches
-//!   the trace of per-ticket latencies measured at the callsite, to
+//!   the per-ticket latencies read off each ticket's own trace, to
 //!   within one histogram bucket width.
 //! * An SLO on that family fires after an injected slow-solve
 //!   regression breaches both burn-rate windows, surfaces as a
@@ -36,18 +36,13 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const BATCH_SEED: u64 = 0x0B5;
 
 fn service_config() -> ServiceConfig {
     ServiceConfig {
-        engine: EngineConfig {
-            workers: 2,
-            batch_seed: BATCH_SEED,
-            cache_capacity: 8,
-            ..EngineConfig::default()
-        },
+        engine: EngineConfig { workers: 2, batch_seed: BATCH_SEED, cache_capacity: 8 },
         max_batch_size: 4,
         max_linger: Duration::from_millis(5),
         ..ServiceConfig::default()
@@ -188,11 +183,17 @@ fn live_service_is_scrapeable_over_tcp_under_load() {
 
 /// The rolling window's interpolated p95 for
 /// `qtda_service_request_seconds{class=interactive}` agrees with the
-/// per-ticket latencies measured at the callsite, to within one bucket
-/// width of the default latency buckets.
+/// per-ticket latencies, to within one bucket width of the default
+/// latency buckets. Each latency is read off the ticket's own trace —
+/// from the start of its `queue_wait` span (acceptance) to the end of
+/// its `delivery` span, the instant the service measures to — so the
+/// ground truth is the service's own clock, not a callsite stopwatch
+/// that also counts the caller's wake-up. The spans need the `obs`
+/// feature (on by default).
+#[cfg(feature = "obs")]
 #[test]
 fn window_p95_matches_measured_ticket_latencies_within_one_bucket() {
-    let telemetry = Telemetry::default();
+    let telemetry = Telemetry::with_ticket_traces();
     let registry = Arc::clone(&telemetry.registry);
     let service = QtdaService::with_telemetry(service_config(), telemetry);
     // The window baseline must predate the traffic it will measure.
@@ -201,10 +202,18 @@ fn window_p95_matches_measured_ticket_latencies_within_one_bucket() {
 
     let mut measured: Vec<f64> = Vec::new();
     for tag in 0..20 {
-        let started = Instant::now();
-        let ticket = service.submit_with(job(tag), QosPolicy::interactive()).expect("submit");
-        let _ = ticket.wait();
-        measured.push(started.elapsed().as_secs_f64());
+        let mut ticket = service.submit_with(job(tag), QosPolicy::interactive()).expect("submit");
+        while ticket.next_slice().is_some() {}
+        let trace = ticket.trace().expect("ticket traces are on");
+        let span =
+            |name: &str| {
+                trace.spans.iter().find(|s| s.name == name).unwrap_or_else(|| {
+                    panic!("ticket {tag} has no {name} span:\n{}", trace.render())
+                })
+            };
+        let (accepted, delivery) = (span("queue_wait"), span("delivery"));
+        measured.push((delivery.start + delivery.wall - accepted.start).as_secs_f64());
+        assert!(matches!(ticket.outcome(), TicketOutcome::Completed(_)));
     }
     window.tick();
 
@@ -219,10 +228,9 @@ fn window_p95_matches_measured_ticket_latencies_within_one_bucket() {
 
     measured.sort_by(f64::total_cmp);
     let truth = measured[(0.95f64 * measured.len() as f64).ceil() as usize - 1];
-    // Histogram quantiles are exact only up to bucket resolution, and
-    // callsite timing brackets (slightly exceeds) the service's own
-    // accepted→delivered measurement — allow one bucket on either side
-    // of the bucket holding the ground truth.
+    // Histogram quantiles are exact only up to bucket resolution —
+    // allow one bucket on either side of the bucket holding the ground
+    // truth.
     let bounds = DEFAULT_LATENCY_BUCKETS;
     let idx = bounds.iter().position(|&b| truth <= b).unwrap_or(bounds.len() - 1);
     let lo = if idx == 0 { 0.0 } else { bounds[idx - 1] };

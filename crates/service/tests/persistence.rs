@@ -37,7 +37,7 @@ fn persistence_jobs() -> Vec<BettiJob> {
 }
 
 fn engine_config(workers: usize) -> EngineConfig {
-    EngineConfig { workers, batch_seed: BATCH_SEED, cache_capacity: 0, ..EngineConfig::default() }
+    EngineConfig { workers, batch_seed: BATCH_SEED, cache_capacity: 0 }
 }
 
 fn assert_persistence_streams_match(
@@ -74,7 +74,6 @@ fn persistence_streams_bit_identical_to_the_engine_across_worker_counts() {
             max_batch_size: jobs.len(),
             max_linger: Duration::from_millis(250),
             queue_capacity: 64,
-            ..ServiceConfig::default()
         });
         let tickets: Vec<_> =
             jobs.iter().map(|j| service.submit(j.clone()).expect("accepting")).collect();
@@ -100,7 +99,6 @@ fn singleton_micro_batches_do_not_perturb_persistence() {
         max_batch_size: 1,
         max_linger: Duration::from_millis(1),
         queue_capacity: 64,
-        ..ServiceConfig::default()
     });
     let tickets: Vec<_> =
         jobs.iter().map(|j| service.submit(j.clone()).expect("accepting")).collect();

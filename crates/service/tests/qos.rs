@@ -12,14 +12,9 @@
 //!   submission queue's bounded bypass).
 //! * An Interactive request closes a micro-batch early instead of
 //!   waiting out the linger deadline.
-//! * A job cancelled before any unit runs registers **no doorkeeper
-//!   sighting**: cancel-then-resubmit still takes exactly two real
-//!   sightings to admit the fingerprint into the LRU.
 
 use qtda_core::estimator::EstimatorConfig;
-use qtda_engine::{
-    AbortReason, BatchEngine, BettiJob, EngineConfig, JobOutcome, JobRequest, QosPolicy,
-};
+use qtda_engine::{AbortReason, BatchEngine, BettiJob, EngineConfig, JobRequest, QosPolicy};
 use qtda_service::{QtdaService, ServiceConfig, TicketOutcome};
 use qtda_tda::point_cloud::{synthetic, PointCloud};
 use rand::rngs::StdRng;
@@ -31,7 +26,7 @@ use std::time::{Duration, Instant};
 const BATCH_SEED: u64 = 0x5EED;
 
 fn engine_config(workers: usize) -> EngineConfig {
-    EngineConfig { workers, batch_seed: BATCH_SEED, cache_capacity: 0, ..EngineConfig::default() }
+    EngineConfig { workers, batch_seed: BATCH_SEED, cache_capacity: 0 }
 }
 
 /// A job with enough `(ε, dim)` units (and enough work per unit) that a
@@ -64,7 +59,6 @@ fn service(workers: usize, max_batch: usize) -> QtdaService {
         max_batch_size: max_batch,
         max_linger: Duration::from_millis(250),
         queue_capacity: 64,
-        ..ServiceConfig::default()
     })
 }
 
@@ -85,7 +79,6 @@ fn cancel_terminates_streamed_job_without_poisoning_cache_or_leaking_arenas() {
             max_batch_size: 2,
             max_linger: Duration::from_millis(250),
             queue_capacity: 64,
-            ..ServiceConfig::default()
         });
         let mut ticket = service.submit(cancelled_job.clone()).expect("accepting");
         let companion_ticket = service.submit(companion.clone()).expect("accepting");
@@ -180,7 +173,6 @@ fn expired_deadline_still_served_from_a_ready_cache_hit() {
         max_batch_size: 4,
         max_linger: Duration::from_millis(50),
         queue_capacity: 64,
-        ..ServiceConfig::default()
     });
     let job = light_job(9);
     // Prime the cache with a completed run of the same job.
@@ -234,7 +226,7 @@ fn completed_results_under_priority_scheduling_match_fifo_run_batch() {
             .zip(&classes)
             .map(|(job, qos)| JobRequest::with_qos(job.clone(), qos.clone()))
             .collect();
-        let outcomes = BatchEngine::new(engine_config(workers)).run_batch_qos(&requests);
+        let outcomes = BatchEngine::new(engine_config(workers)).run(&requests, None);
         for (i, (outcome, reference)) in outcomes.iter().zip(&reference).enumerate() {
             let result = outcome.result().expect("no abort was requested");
             for (a, b) in result.features().iter().zip(reference.features()) {
@@ -266,7 +258,7 @@ fn completed_results_under_priority_scheduling_match_fifo_run_batch() {
 /// Starvation resistance: one Bulk job submitted behind a standing wall
 /// of Interactive traffic still completes — long before the interactive
 /// flood ends — because the queue's bounded bypass reaches the tail at
-/// least every `priority_bypass + 1` pops.
+/// least every fifth pop.
 #[test]
 fn bulk_completes_under_sustained_interactive_load() {
     const FLOOD: usize = 30;
@@ -275,8 +267,6 @@ fn bulk_completes_under_sustained_interactive_load() {
         max_batch_size: 1, // every pop is a batch: pop order is visible
         max_linger: Duration::from_millis(1),
         queue_capacity: 4, // keeps the producer refilling the queue
-        priority_bypass: 4,
-        ..ServiceConfig::default()
     }));
     // Park interactive work in every queue slot first, so the bulk job
     // is always contended.
@@ -329,8 +319,9 @@ fn bulk_completes_under_sustained_interactive_load() {
 }
 
 /// Priority-aware lingering: an Interactive request closes its
-/// micro-batch immediately, while a Normal request alone waits out the
-/// (deliberately long, non-adaptive) linger deadline.
+/// micro-batch immediately, while a Normal request alone waits out
+/// most of the (deliberately long) linger deadline — the adaptive
+/// linger leaves a lone request 7/8 of it at this batch size.
 #[test]
 fn interactive_requests_close_micro_batches_early() {
     let max_linger = Duration::from_millis(1200);
@@ -340,8 +331,6 @@ fn interactive_requests_close_micro_batches_early() {
             max_batch_size: 8,
             max_linger,
             queue_capacity: 16,
-            adaptive_linger: false,
-            ..ServiceConfig::default()
         });
         let start = Instant::now();
         let ticket = service.submit_with(light_job(6), qos).expect("accepting");
@@ -361,41 +350,6 @@ fn interactive_requests_close_micro_batches_early() {
         "control: a lone Normal request should wait out most of the linger, took {normal:?}"
     );
     assert!(interactive < normal);
-}
-
-/// Doorkeeper regression: a job cancelled before any unit runs must not
-/// register a doorkeeper sighting — cancel-then-resubmit still takes
-/// exactly two *real* sightings to admit the fingerprint into the LRU.
-#[test]
-fn cancelled_job_registers_no_doorkeeper_sighting() {
-    let engine = BatchEngine::new(EngineConfig {
-        cache_capacity: 8,
-        cache_doorkeeper: true,
-        batch_seed: BATCH_SEED,
-        ..EngineConfig::default()
-    });
-    let job = light_job(7);
-    // Cancelled before submission: every unit is skipped, nothing may
-    // touch the cache — not even the doorkeeper's first-sighting set.
-    let qos = QosPolicy::default();
-    qos.cancel_token().cancel();
-    let outcomes = engine.run_batch_qos(&[JobRequest::with_qos(job.clone(), qos)]);
-    assert!(matches!(outcomes[0], JobOutcome::Aborted(AbortReason::Cancelled)));
-    assert_eq!(engine.stats().units_executed, 0, "cancelled before any unit ran");
-    // First real sighting: computed, remembered, not admitted.
-    engine.run_job(&job);
-    assert_eq!(engine.stats().cache_hits, 0);
-    // Second real sighting: computed again, admitted. Were the cancel a
-    // sighting, this lookup would already hit.
-    engine.run_job(&job);
-    assert_eq!(
-        engine.stats().cache_hits,
-        0,
-        "a cancel-then-resubmit must still take two sightings to admit"
-    );
-    // Third: served from cache — the admission happened exactly then.
-    engine.run_job(&job);
-    assert_eq!(engine.stats().cache_hits, 1);
 }
 
 /// The ticket's cancellation token is shared: cancelling through a

@@ -7,13 +7,12 @@
 //!   full-batch latency on a multi-job batch).
 //! * The bounded queue exerts backpressure (`try_submit` →
 //!   `Overloaded`) and `shutdown()` drains in-flight work.
-//! * Size-based dispatch changes backends, never the classical truth.
+//! * The adaptive linger dispatches a deep queue without waiting out
+//!   the full deadline.
 
 use qtda_core::estimator::EstimatorConfig;
 use qtda_engine::{BatchEngine, BettiJob, EngineConfig, JobResult};
-use qtda_service::{
-    DispatchPolicy, QtdaService, ServiceConfig, StreamedSlice, SubmitError, Ticket,
-};
+use qtda_service::{QtdaService, ServiceConfig, StreamedSlice, SubmitError, Ticket};
 use qtda_tda::point_cloud::synthetic;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -42,7 +41,7 @@ fn mixed_jobs() -> Vec<BettiJob> {
 }
 
 fn engine_config(workers: usize) -> EngineConfig {
-    EngineConfig { workers, batch_seed: BATCH_SEED, cache_capacity: 0, ..EngineConfig::default() }
+    EngineConfig { workers, batch_seed: BATCH_SEED, cache_capacity: 0 }
 }
 
 fn assert_streamed_matches_reference(
@@ -79,7 +78,6 @@ fn streamed_results_are_bit_identical_to_run_batch_across_worker_counts() {
             max_batch_size: jobs.len(),
             max_linger: Duration::from_millis(250),
             queue_capacity: 64,
-            ..ServiceConfig::default()
         });
         let tickets: Vec<_> =
             jobs.iter().map(|j| service.submit(j.clone()).expect("accepting")).collect();
@@ -106,7 +104,6 @@ fn micro_batch_grouping_is_unobservable_in_results() {
         max_batch_size: 1,
         max_linger: Duration::from_millis(1),
         queue_capacity: 64,
-        ..ServiceConfig::default()
     });
     let tickets: Vec<_> =
         jobs.iter().map(|j| service.submit(j.clone()).expect("accepting")).collect();
@@ -138,7 +135,6 @@ fn first_slice_arrives_before_the_batch_completes() {
         max_batch_size: jobs.len(),
         max_linger: Duration::from_millis(250),
         queue_capacity: 64,
-        ..ServiceConfig::default()
     });
     let submitted = Instant::now();
     let mut tickets: Vec<_> =
@@ -183,7 +179,6 @@ fn bounded_queue_pushes_back_when_overloaded() {
         max_batch_size: 1,
         max_linger: Duration::ZERO,
         queue_capacity: 1,
-        ..ServiceConfig::default()
     });
     let heavy_ticket = service.submit(heavy).expect("accepting the heavy job");
     // Wait until the batcher has picked the heavy job up, then park one
@@ -222,7 +217,6 @@ fn shutdown_drains_accepted_work() {
         // flush these.
         max_linger: Duration::from_secs(30),
         queue_capacity: 64,
-        ..ServiceConfig::default()
     });
     let tickets: Vec<_> =
         jobs.iter().map(|j| service.submit(j.clone()).expect("accepting")).collect();
@@ -239,52 +233,12 @@ fn shutdown_drains_accepted_work() {
 }
 
 #[test]
-fn dispatch_changes_backends_but_not_truth() {
-    let jobs = mixed_jobs();
-    // Statevector tier for the smallest units, sparse from 8 up: all
-    // three backends are exercised by this workload.
-    let policy = DispatchPolicy { statevector_max: 4, sparse_min: 8 };
-    let dispatched_engine = EngineConfig { dispatch: Some(policy), ..engine_config(2) };
-    let reference = BatchEngine::new(dispatched_engine).run_batch(&jobs);
-    let baseline = BatchEngine::new(engine_config(2)).run_batch(&jobs);
-
-    // Streaming under dispatch matches collect-mode under dispatch
-    // bit for bit.
-    let service = QtdaService::new(ServiceConfig {
-        engine: dispatched_engine,
-        max_batch_size: jobs.len(),
-        max_linger: Duration::from_millis(250),
-        queue_capacity: 64,
-        ..ServiceConfig::default()
-    });
-    let tickets: Vec<_> =
-        jobs.iter().map(|j| service.submit(j.clone()).expect("accepting")).collect();
-    for ((i, ticket), reference) in tickets.into_iter().enumerate().zip(&reference) {
-        let (streamed, final_result) = ticket.collect();
-        assert_streamed_matches_reference(
-            &streamed,
-            &final_result,
-            reference,
-            &format!("job {i} under dispatch"),
-        );
-    }
-    service.shutdown();
-
-    // Routing changes the sampling backend, never the classical truth.
-    for (r, b) in reference.iter().zip(&baseline) {
-        for (rs, bs) in r.slices.iter().zip(&b.slices) {
-            assert_eq!(rs.classical, bs.classical, "classical truth is routing-free");
-        }
-    }
-}
-
-#[test]
 fn deep_queues_dispatch_without_waiting_out_the_full_deadline() {
     // Seven jobs burst in against a micro-batch size of 8: the batch
-    // gathers them instantly but never fills. With the adaptive linger
-    // the 7/8 backlog shrinks the deadline to an eighth of
-    // `max_linger`; without it, the almost-full batch waits out the
-    // entire deadline with the engine idle.
+    // gathers them instantly but never fills. The adaptive linger
+    // shrinks the deadline to an eighth of `max_linger` at the 7/8
+    // backlog, so the almost-full batch does not wait out the entire
+    // deadline with the engine idle.
     let mut rng = StdRng::seed_from_u64(91);
     let mut blocker = BettiJob::new(synthetic::circle(30, 1.0, 0.01, &mut rng), vec![0.4, 0.5]);
     blocker.estimator =
@@ -298,36 +252,24 @@ fn deep_queues_dispatch_without_waiting_out_the_full_deadline() {
         })
         .collect();
     let max_linger = Duration::from_millis(1500);
-    let serve = |adaptive: bool| -> Duration {
-        let service = QtdaService::new(ServiceConfig {
-            engine: engine_config(1),
-            max_batch_size: 8,
-            max_linger,
-            queue_capacity: 64,
-            adaptive_linger: adaptive,
-            ..ServiceConfig::default()
-        });
-        let start = Instant::now();
-        let blocker_ticket = service.submit(blocker.clone()).expect("accepting");
-        let tickets: Vec<_> =
-            light.iter().map(|j| service.submit(j.clone()).expect("accepting")).collect();
-        for ticket in tickets {
-            ticket.wait();
-        }
-        blocker_ticket.wait();
-        let elapsed = start.elapsed();
-        service.shutdown();
-        elapsed
-    };
-    let adaptive = serve(true);
+    let service = QtdaService::new(ServiceConfig {
+        engine: engine_config(1),
+        max_batch_size: 8,
+        max_linger,
+        queue_capacity: 64,
+    });
+    let start = Instant::now();
+    let blocker_ticket = service.submit(blocker.clone()).expect("accepting");
+    let tickets: Vec<_> =
+        light.iter().map(|j| service.submit(j.clone()).expect("accepting")).collect();
+    for ticket in tickets {
+        ticket.wait();
+    }
+    blocker_ticket.wait();
+    let adaptive = start.elapsed();
+    service.shutdown();
     assert!(
         adaptive < Duration::from_millis(1000),
         "deep queue must dispatch early: took {adaptive:?} against a {max_linger:?} linger"
     );
-    let fixed = serve(false);
-    assert!(
-        fixed >= Duration::from_millis(1200),
-        "control: the fixed linger should wait out most of its deadline, took {fixed:?}"
-    );
-    assert!(adaptive < fixed, "adaptive {adaptive:?} must beat fixed {fixed:?}");
 }

@@ -282,8 +282,8 @@ impl LaplacianFiltration {
         self.persistent_betti_row(k, std::slice::from_ref(&eps_i), eps_j)[0]
     }
 
-    /// The persistent-Betti row of one death scale: `row[i]` =
-    /// β_k(birth_epsilons[i], ε_j), computed from the arena's boundary
+    /// The persistent-Betti row of one death scale:
+    /// `row[i] = β_k(birth_epsilons[i], ε_j)`, computed from the arena's boundary
     /// prefixes by exact integer rank.
     ///
     /// Because appearance order makes `C_k(ε_i)` a coordinate prefix of
@@ -361,7 +361,7 @@ impl LaplacianFiltration {
     /// same cloud, construction scale, max dimension, and metric: both
     /// orderings restrict to (value, lex) within each dimension, and
     /// both birth/death values come from the same
-    /// [`diameter`] computation.
+    /// `diameter` computation.
     pub fn barcode(&self) -> Barcode {
         let top = self.dims.len();
         let mut pairs = Vec::new();

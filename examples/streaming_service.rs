@@ -60,7 +60,6 @@ fn main() {
             max_batch_size: 8,
             max_linger: Duration::from_millis(4),
             queue_capacity: 64,
-            ..ServiceConfig::default()
         },
         telemetry,
     );
