@@ -10,9 +10,11 @@
 //!   wrapper (same kernel, shows the allocation overhead).
 //! * **lanczos** — the full-subspace `lanczos_ritz_values` on a real Δ₁,
 //!   gated against the dense Jacobi spectrum.
-//! * **estimate** — the infinite-shot β̃₁ through the dense
-//!   `SpectralBackend` (full Jacobi) vs the sparse `LanczosBackend`
-//!   (matvec-only Ritz values), the headline `LaplacianOp` comparison.
+//! * **estimate** — the infinite-shot β̃₁ through the two routes that
+//!   serve it, both reading `p(0)` off a `PaddedSpectrum` of the
+//!   unpadded Δ₁ with the padding added in closed form: the dense route
+//!   (`of_laplacian`, Jacobi on `n × n`) vs the sparse route
+//!   (`of_sparse_laplacian_bounded`, matvec-only full-run Lanczos).
 //! * **scrape overhead** — the PR 8 ops-surface gate: a live engine
 //!   workload (metrics + flight recorder on, caching off so every rep
 //!   computes) timed bare and again while a scraper hammers the HTTP
@@ -24,7 +26,11 @@
 //! checked-in `BENCH_PR8.json` comes from
 //! `cargo bench --bench sparse_vs_dense -- --json`).
 
-use qtda_core::estimator::{BettiEstimator, EstimatorConfig};
+use qtda_core::backend::LanczosBackend;
+use qtda_core::estimator::EstimatorConfig;
+use qtda_core::padding::{LambdaMaxBound, PaddingScheme};
+use qtda_core::scaling::Delta;
+use qtda_core::spectrum::PaddedSpectrum;
 use qtda_engine::{BatchEngine, BettiJob, EngineConfig, FlightRecorder};
 use qtda_linalg::profile::{profiled, SolveProfile};
 use qtda_linalg::{lanczos_ritz_values, CsrMatrix, SymEigen};
@@ -204,28 +210,39 @@ fn main() {
         plain_profile.matvecs, plain_profile.lanczos_iterations
     );
 
-    // Section 3: the headline dense-vs-sparse estimate.
-    let config = EstimatorConfig { precision_qubits: 6, ..Default::default() };
-    let dense_estimator = BettiEstimator::new(config);
-    let sparse_estimator = BettiEstimator::new_sparse(config);
+    // Section 3: the headline dense-vs-sparse estimate, each route's
+    // whole spectral path (bound, decomposition, closed-form padding).
+    let precision = 6;
+    let (padding, delta, bound) =
+        (PaddingScheme::IdentityHalfLambdaMax, Delta::Auto, LambdaMaxBound::Gershgorin);
+    let dense_route = |l| PaddedSpectrum::of_laplacian(l, padding, delta, bound);
+    let sparse_route = |l| {
+        PaddedSpectrum::of_sparse_laplacian_bounded(
+            l,
+            padding,
+            delta,
+            LanczosBackend::default().seed,
+            bound,
+        )
+    };
     assert!(
-        (dense_estimator.estimate_exact(&dense)
-            - sparse_estimator.estimate_exact_operator(&sparse))
+        (dense_route(&dense).estimate_exact(precision)
+            - sparse_route(&sparse).estimate_exact(precision))
         .abs()
             < 1e-4,
         "dense and sparse estimates disagree at {edges} edges"
     );
     let dense_estimate = time_best(lanczos_reps, || {
-        black_box(dense_estimator.estimate_exact(black_box(&dense)));
+        black_box(dense_route(black_box(&dense)).estimate_exact(precision));
     });
     let sparse_estimate = time_best(lanczos_reps, || {
-        black_box(sparse_estimator.estimate_exact_operator(black_box(&sparse)));
+        black_box(sparse_route(black_box(&sparse)).estimate_exact(precision));
     });
     let estimate_speedup = dense_estimate.as_secs_f64() / sparse_estimate.as_secs_f64();
     let ((), estimate_profile) = profiled(|| {
-        black_box(sparse_estimator.estimate_exact_operator(black_box(&sparse)));
+        black_box(sparse_route(black_box(&sparse)).estimate_exact(precision));
     });
-    println!("dense spectral β̃₁     : {:9.1} µs", us(dense_estimate));
+    println!("dense jacobi β̃₁       : {:9.1} µs", us(dense_estimate));
     println!(
         "sparse lanczos β̃₁     : {:9.1} µs ({} matvecs)",
         us(sparse_estimate),

@@ -12,7 +12,7 @@
 
 use qtda_bench::cli::CommonArgs;
 use qtda_bench::table::Table;
-use qtda_core::padding::PaddingScheme;
+use qtda_core::padding::{LambdaMaxBound, PaddingScheme};
 use qtda_core::scaling::Delta;
 use qtda_core::spectrum::PaddedSpectrum;
 use qtda_tda::betti::betti_numbers;
@@ -49,6 +49,7 @@ fn main() {
                 &laplacian,
                 PaddingScheme::IdentityHalfLambdaMax,
                 Delta::Auto,
+                LambdaMaxBound::Gershgorin,
             );
             for (i, &(precision, shots)) in quantum_settings.iter().enumerate() {
                 let est = spectrum.estimate(precision, shots, &mut rng);

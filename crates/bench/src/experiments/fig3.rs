@@ -8,7 +8,7 @@
 //! noise. Complexes are processed rayon-parallel.
 
 use qtda_core::analysis::FiveNumber;
-use qtda_core::padding::PaddingScheme;
+use qtda_core::padding::{LambdaMaxBound, PaddingScheme};
 use qtda_core::scaling::Delta;
 use qtda_core::spectrum::PaddedSpectrum;
 use qtda_tda::betti::betti_via_rank;
@@ -98,6 +98,7 @@ fn prepare_complex(n: usize, max_k: usize, seed: u64) -> PreparedComplex {
             &laplacian,
             PaddingScheme::IdentityHalfLambdaMax,
             Delta::Auto,
+            LambdaMaxBound::Gershgorin,
         );
         let truth = betti_via_rank(&complex, k);
         entries.push((spectrum, truth));

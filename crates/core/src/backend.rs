@@ -1,4 +1,4 @@
-//! Interchangeable QPE backends.
+//! Interchangeable QPE backends on the padded, rescaled matrix.
 //!
 //! Every backend answers one question: *given the rescaled Hamiltonian
 //! `H` and `p` precision qubits, what is the probability `p(0)` that QPE
@@ -6,10 +6,14 @@
 //! on top by the estimator (one Bernoulli(`p(0)`) trial per shot), which
 //! is statistically identical to sampling the full circuit — see the
 //! backend-equivalence tests.
+//!
+//! Served estimates do not come through here: they read `p(0)` off a
+//! [`PaddedSpectrum`](crate::spectrum::PaddedSpectrum), which never
+//! builds the `2^q` matrix. Backends serve the gate-level circuits and,
+//! in [`SpectralBackend`], the padded-matrix reference that spectrum is
+//! pinned against.
 
 use qtda_linalg::eigen::SymEigen;
-use qtda_linalg::lanczos::lanczos_ritz_values;
-use qtda_linalg::op::LaplacianOp;
 use qtda_linalg::Mat;
 use qtda_qsim::circuit::Circuit;
 use qtda_qsim::decompose::PauliDecomposition;
@@ -18,19 +22,14 @@ use qtda_qsim::mixed::append_mixed_state_prep;
 use qtda_qsim::qpe::{qpe_circuit, qpe_circuit_from_evolution, qpe_outcome_probability};
 use qtda_qsim::state::StateVector;
 
-/// A way of computing the QPE zero-outcome probability.
-///
-/// Backends consume the rescaled Hamiltonian through the
-/// [`LaplacianOp`] abstraction, so dense `Mat` and sparse `CsrMatrix`
-/// Hamiltonians are interchangeable (`&Mat` coerces to
-/// `&dyn LaplacianOp` at every existing call site). Gate-level backends
-/// densify internally; the [`LanczosBackend`] stays matvec-only.
+/// A way of computing the QPE zero-outcome probability from the padded,
+/// rescaled Hamiltonian.
 pub trait QpeBackend {
     /// Human-readable backend name (reported by experiment harnesses).
     fn name(&self) -> &'static str;
 
     /// `p(0)` for `p`-qubit QPE on `U = e^{iH}` with input `I/2^q`.
-    fn p_zero(&self, h: &dyn LaplacianOp, precision: usize) -> f64;
+    fn p_zero(&self, h: &Mat, precision: usize) -> f64;
 }
 
 /// Analytic spectral backend: eigendecompose `H`, average the QPE
@@ -45,8 +44,8 @@ impl QpeBackend for SpectralBackend {
         "spectral"
     }
 
-    fn p_zero(&self, h: &dyn LaplacianOp, precision: usize) -> f64 {
-        let eigs = SymEigen::eigenvalues(h.dense().as_ref());
+    fn p_zero(&self, h: &Mat, precision: usize) -> f64 {
+        let eigs = SymEigen::eigenvalues(h);
         let dim = eigs.len() as f64;
         eigs.iter()
             .map(|&lambda| {
@@ -58,12 +57,10 @@ impl QpeBackend for SpectralBackend {
     }
 }
 
-/// Iterative spectral backend: obtains the eigenphases from Lanczos
-/// Ritz values instead of a dense eigendecomposition, touching `H` only
-/// through `matvec`. The run is a full `dim`-step recurrence with full
-/// reorthogonalisation, so the Ritz values are the exact spectrum and
-/// the backend matches [`SpectralBackend`] to solver precision — this is
-/// the sparse pipeline's default.
+/// The sparse route's Lanczos settings: the default `seed` is the start
+/// vector of every sparse unit's
+/// [`PaddedSpectrum::of_sparse_laplacian_bounded`](crate::spectrum::PaddedSpectrum::of_sparse_laplacian_bounded)
+/// run. The run is a full one, so the seed changes only rounding.
 #[derive(Clone, Copy, Debug)]
 pub struct LanczosBackend {
     /// Seed of the Lanczos start vector (deterministic per seed).
@@ -73,29 +70,6 @@ pub struct LanczosBackend {
 impl Default for LanczosBackend {
     fn default() -> Self {
         LanczosBackend { seed: 0x1A2C_705F }
-    }
-}
-
-impl QpeBackend for LanczosBackend {
-    fn name(&self) -> &'static str {
-        "lanczos"
-    }
-
-    fn p_zero(&self, h: &dyn LaplacianOp, precision: usize) -> f64 {
-        if h.dim() == 0 {
-            return 0.0;
-        }
-        // The Ritz values are the exact spectrum, so their uniform
-        // average is tr f(H)/n.
-        let ritz = lanczos_ritz_values(h, self.seed);
-        let count = ritz.len() as f64;
-        ritz.iter()
-            .map(|&lambda| {
-                let theta = crate::scaling::eigenvalue_to_phase(lambda);
-                qpe_outcome_probability(theta, precision, 0)
-            })
-            .sum::<f64>()
-            / count
     }
 }
 
@@ -134,8 +108,8 @@ impl QpeBackend for StatevectorBackend {
         "statevector"
     }
 
-    fn p_zero(&self, h: &dyn LaplacianOp, precision: usize) -> f64 {
-        let c = Self::full_circuit(h.dense().as_ref(), precision);
+    fn p_zero(&self, h: &Mat, precision: usize) -> f64 {
+        let c = Self::full_circuit(h, precision);
         let state = c.simulate();
         let register: Vec<usize> = (0..precision).collect();
         state.probability_register_zero(&register)
@@ -186,8 +160,8 @@ impl QpeBackend for TrotterBackend {
         "trotter"
     }
 
-    fn p_zero(&self, h: &dyn LaplacianOp, precision: usize) -> f64 {
-        let c = self.full_circuit(h.dense().as_ref(), precision);
+    fn p_zero(&self, h: &Mat, precision: usize) -> f64 {
+        let c = self.full_circuit(h, precision);
         let state = c.simulate();
         let register: Vec<usize> = (0..precision).collect();
         state.probability_register_zero(&register)
@@ -234,25 +208,6 @@ mod tests {
             let a = SpectralBackend.p_zero(&h, precision);
             let b = StatevectorBackend.p_zero(&h, precision);
             assert!((a - b).abs() < 1e-9, "p = {precision}: spectral {a} vs statevector {b}");
-        }
-    }
-
-    #[test]
-    fn lanczos_backend_matches_spectral_on_worked_example() {
-        let h = worked_example_h();
-        let sparse = qtda_linalg::CsrMatrix::from_dense(&h, 0.0);
-        for precision in 1..=6 {
-            let spectral = SpectralBackend.p_zero(&h, precision);
-            let lanczos_dense = LanczosBackend::default().p_zero(&h, precision);
-            let lanczos_sparse = LanczosBackend::default().p_zero(&sparse, precision);
-            assert!(
-                (spectral - lanczos_dense).abs() < 1e-6,
-                "p = {precision}: spectral {spectral} vs lanczos(dense) {lanczos_dense}"
-            );
-            assert!(
-                (spectral - lanczos_sparse).abs() < 1e-6,
-                "p = {precision}: spectral {spectral} vs lanczos(sparse) {lanczos_sparse}"
-            );
         }
     }
 

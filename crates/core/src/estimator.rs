@@ -2,13 +2,17 @@
 //!
 //! `β̃_k = 2^q · p̂(0)` where `p̂(0)` is the observed zero-outcome fraction
 //! over `shots` runs of QPE on `e^{iH}` with a maximally mixed input.
+//! [`BettiEstimator::new`] reads the exact `p(0)` off the unpadded
+//! [`PaddedSpectrum`]; only [`BettiEstimator::with_backend`] pads and
+//! rescales a matrix for a [`QpeBackend`]. Either way one body turns
+//! `p(0)` into the estimate: sample the shots, scale by `2^q`, subtract
+//! the spurious padding zeros.
 
-use crate::backend::{LanczosBackend, QpeBackend, SpectralBackend};
-use crate::padding::{pad_operator, LambdaMaxBound, PaddingScheme};
-use crate::scaling::{rescale_operator, Delta};
+use crate::backend::{QpeBackend, SpectralBackend};
+use crate::padding::{pad_laplacian_bounded, LambdaMaxBound, PaddingScheme};
+use crate::scaling::{rescale, Delta};
 use crate::spectrum::PaddedSpectrum;
-use qtda_linalg::op::LaplacianOp;
-use qtda_linalg::{CsrMatrix, Mat};
+use qtda_linalg::Mat;
 use qtda_qsim::measure::sample_zero_count;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -65,6 +69,28 @@ pub struct BettiEstimate {
 }
 
 impl BettiEstimate {
+    /// The one step from an exact `p(0)` to an estimate: `shots`
+    /// Bernoulli(`p(0)`) draws, scaled by `2^q`, minus the spurious
+    /// padding zeros (clamped at 0).
+    pub(crate) fn sample(
+        p_zero_exact: f64,
+        q: usize,
+        spurious_zeros: usize,
+        shots: usize,
+        rng: &mut impl Rng,
+    ) -> Self {
+        let p_zero_sampled = sample_zero_count(p_zero_exact, shots, rng) as f64 / shots as f64;
+        BettiEstimate {
+            p_zero_exact,
+            p_zero_sampled,
+            raw: (1usize << q) as f64 * p_zero_sampled,
+            corrected: padding_corrected(p_zero_sampled, q, spurious_zeros),
+            q,
+            shots,
+            spurious_zeros,
+        }
+    }
+
     /// The corrected estimate rounded to the nearest whole number
     /// (the paper's final step; "can also be fed directly" to ML).
     pub fn rounded(&self) -> usize {
@@ -74,35 +100,39 @@ impl BettiEstimate {
     /// The *noise-free* estimate `2^q · p(0)` (corrected), what infinite
     /// shots would converge to.
     pub fn exact_value(&self) -> f64 {
-        let padded = (1usize << self.q) as f64;
-        (padded * self.p_zero_exact - self.spurious_zeros as f64).max(0.0)
+        padding_corrected(self.p_zero_exact, self.q, self.spurious_zeros)
     }
+}
+
+/// `2^q · p − spurious zeros`, clamped at 0: a zero probability turned
+/// into a padding-corrected Betti estimate.
+pub(crate) fn padding_corrected(p_zero: f64, q: usize, spurious_zeros: usize) -> f64 {
+    ((1usize << q) as f64 * p_zero - spurious_zeros as f64).max(0.0)
 }
 
 /// The QPE Betti-number estimator.
 pub struct BettiEstimator {
     config: EstimatorConfig,
-    backend: Box<dyn QpeBackend + Send + Sync>,
+    /// `None` reads `p(0)` off the unpadded spectrum (the serving path).
+    backend: Option<Box<dyn QpeBackend + Send + Sync>>,
 }
 
 impl BettiEstimator {
-    /// An estimator with the default (spectral) backend.
+    /// An estimator that reads `p(0)` off the unpadded
+    /// [`PaddedSpectrum`] — the analytic spectral response, with no
+    /// `2^q` matrix built.
     pub fn new(config: EstimatorConfig) -> Self {
-        BettiEstimator { config, backend: Box::new(SpectralBackend) }
+        BettiEstimator { config, backend: None }
     }
 
-    /// An estimator with the sparse-first [`LanczosBackend`]: `p(0)`
-    /// from full-run Ritz values, matvec-only end to end.
-    pub fn new_sparse(config: EstimatorConfig) -> Self {
-        BettiEstimator { config, backend: Box::new(LanczosBackend::default()) }
-    }
-
-    /// An estimator with an explicit backend.
+    /// An estimator that pads and rescales the Laplacian and hands the
+    /// `2^q` matrix to `backend` (the gate-level circuits, or
+    /// [`SpectralBackend`] as the padded-matrix reference).
     pub fn with_backend(
         config: EstimatorConfig,
         backend: Box<dyn QpeBackend + Send + Sync>,
     ) -> Self {
-        BettiEstimator { config, backend }
+        BettiEstimator { config, backend: Some(backend) }
     }
 
     /// The configuration.
@@ -112,40 +142,14 @@ impl BettiEstimator {
 
     /// The backend name.
     pub fn backend_name(&self) -> &'static str {
-        self.backend.name()
+        self.backend.as_ref().map_or(SpectralBackend.name(), |backend| backend.name())
     }
 
     /// Estimates `β̃` for a dense combinatorial Laplacian, using a seed
     /// derived from the config. An empty Laplacian (`|S_k| = 0`) yields
     /// a zero estimate directly.
     pub fn estimate(&self, laplacian: &Mat) -> BettiEstimate {
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
-        self.estimate_operator_with_rng(laplacian, &mut rng)
-    }
-
-    /// Estimates `β̃` for a sparse (CSR) combinatorial Laplacian — the
-    /// padding, rescaling and (with a matvec-only backend) the `p(0)`
-    /// computation all stay sparse.
-    pub fn estimate_sparse(&self, laplacian: &CsrMatrix) -> BettiEstimate {
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
-        self.estimate_operator_with_rng(laplacian, &mut rng)
-    }
-
-    /// Estimates with a caller-supplied RNG (for sweeps that manage their
-    /// own seed streams).
-    pub fn estimate_with_rng(&self, laplacian: &Mat, rng: &mut impl Rng) -> BettiEstimate {
-        self.estimate_operator_with_rng(laplacian, rng)
-    }
-
-    /// Representation-generic estimation core: pad → rescale → backend
-    /// `p(0)` → shot sampling → padding correction, entirely through
-    /// [`LaplacianOp`].
-    pub fn estimate_operator_with_rng<M: LaplacianOp>(
-        &self,
-        laplacian: &M,
-        rng: &mut impl Rng,
-    ) -> BettiEstimate {
-        if laplacian.dim() == 0 {
+        if laplacian.rows() == 0 {
             return BettiEstimate {
                 p_zero_exact: 0.0,
                 p_zero_sampled: 0.0,
@@ -156,24 +160,8 @@ impl BettiEstimator {
                 spurious_zeros: 0,
             };
         }
-        let padded = pad_operator(laplacian, self.config.padding, self.config.lambda_bound);
-        let h = rescale_operator(&padded, self.config.delta);
-        let p_zero_exact = self.backend.p_zero(&h, self.config.precision_qubits);
-
-        let shots = self.config.shots;
-        let zeros = sample_zero_count(p_zero_exact, shots, rng);
-        let p_zero_sampled = zeros as f64 / shots as f64;
-        let raw = (1usize << padded.q) as f64 * p_zero_sampled;
-        let corrected = (raw - padded.spurious_zeros as f64).max(0.0);
-        BettiEstimate {
-            p_zero_exact,
-            p_zero_sampled,
-            raw,
-            corrected,
-            q: padded.q,
-            shots,
-            spurious_zeros: padded.spurious_zeros,
-        }
+        let (p_zero, q, spurious_zeros) = self.p_zero(laplacian);
+        self.sample(p_zero, q, spurious_zeros)
     }
 
     /// Estimates `β̃` from a precomputed [`PaddedSpectrum`], reusing a
@@ -181,39 +169,41 @@ impl BettiEstimator {
     /// been built with this config's padding/δ/λ̃-bound settings). The
     /// backend is bypassed — the spectrum *is* the spectral response.
     pub fn estimate_from_spectrum(&self, spectrum: &PaddedSpectrum) -> BettiEstimate {
-        let p_zero_exact = spectrum.p_zero(self.config.precision_qubits);
-        let shots = self.config.shots;
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let zeros = sample_zero_count(p_zero_exact, shots, &mut rng);
-        let p_zero_sampled = zeros as f64 / shots as f64;
-        let raw = (1usize << spectrum.q) as f64 * p_zero_sampled;
-        let corrected = (raw - spectrum.spurious_zeros as f64).max(0.0);
-        BettiEstimate {
-            p_zero_exact,
-            p_zero_sampled,
-            raw,
-            corrected,
-            q: spectrum.q,
-            shots,
-            spurious_zeros: spectrum.spurious_zeros,
-        }
+        let p_zero = spectrum.p_zero(self.config.precision_qubits);
+        self.sample(p_zero, spectrum.q, spectrum.spurious_zeros)
     }
 
     /// The infinite-shot estimate `2^q · p(0)` (corrected), bypassing
     /// sampling entirely.
     pub fn estimate_exact(&self, laplacian: &Mat) -> f64 {
-        self.estimate_exact_operator(laplacian)
-    }
-
-    /// Infinite-shot estimate for any [`LaplacianOp`] representation.
-    pub fn estimate_exact_operator<M: LaplacianOp>(&self, laplacian: &M) -> f64 {
-        if laplacian.dim() == 0 {
+        if laplacian.rows() == 0 {
             return 0.0;
         }
-        let padded = pad_operator(laplacian, self.config.padding, self.config.lambda_bound);
-        let h = rescale_operator(&padded, self.config.delta);
-        let p_zero = self.backend.p_zero(&h, self.config.precision_qubits);
-        ((1usize << padded.q) as f64 * p_zero - padded.spurious_zeros as f64).max(0.0)
+        let (p_zero, q, spurious_zeros) = self.p_zero(laplacian);
+        padding_corrected(p_zero, q, spurious_zeros)
+    }
+
+    /// Exact `p(0)` with the system qubits and spurious zeros of the
+    /// padding it was computed at.
+    fn p_zero(&self, laplacian: &Mat) -> (f64, usize, usize) {
+        let EstimatorConfig { precision_qubits, padding, delta, lambda_bound, .. } = self.config;
+        match &self.backend {
+            None => {
+                let spectrum =
+                    PaddedSpectrum::of_laplacian(laplacian, padding, delta, lambda_bound);
+                (spectrum.p_zero(precision_qubits), spectrum.q, spectrum.spurious_zeros)
+            }
+            Some(backend) => {
+                let padded = pad_laplacian_bounded(laplacian, padding, lambda_bound);
+                let p_zero = backend.p_zero(&rescale(&padded, delta), precision_qubits);
+                (p_zero, padded.q, padded.spurious_zeros)
+            }
+        }
+    }
+
+    fn sample(&self, p_zero: f64, q: usize, spurious_zeros: usize) -> BettiEstimate {
+        let mut rng = StdRng::seed_from_u64(self.config.seed);
+        BettiEstimate::sample(p_zero, q, spurious_zeros, self.config.shots, &mut rng)
     }
 }
 
@@ -245,33 +235,14 @@ mod tests {
     }
 
     #[test]
-    fn sparse_lanczos_estimator_matches_dense_spectral() {
-        let l = worked_example_l1();
-        let sparse = CsrMatrix::from_dense(&l, 0.0);
-        let config =
-            EstimatorConfig { precision_qubits: 4, shots: 2000, seed: 13, ..Default::default() };
-        let dense_est = BettiEstimator::new(config).estimate(&l);
-        let sparse_est = BettiEstimator::new_sparse(config).estimate_sparse(&sparse);
-        assert!(
-            (dense_est.p_zero_exact - sparse_est.p_zero_exact).abs() < 1e-6,
-            "p(0): dense {} vs sparse {}",
-            dense_est.p_zero_exact,
-            sparse_est.p_zero_exact
-        );
-        assert_eq!(dense_est.q, sparse_est.q);
-        assert_eq!(dense_est.rounded(), sparse_est.rounded());
-    }
-
-    #[test]
     fn power_iteration_bound_still_recovers_beta() {
         let l = worked_example_l1();
-        let sparse = CsrMatrix::from_dense(&l, 0.0);
-        let estimator = BettiEstimator::new_sparse(EstimatorConfig {
+        let estimator = BettiEstimator::new(EstimatorConfig {
             precision_qubits: 8,
             lambda_bound: LambdaMaxBound::PowerIteration { iterations: 200, seed: 3 },
             ..Default::default()
         });
-        let exact = estimator.estimate_exact_operator(&sparse);
+        let exact = estimator.estimate_exact(&l);
         assert!((exact - 1.0).abs() < 0.05, "β̃₁ with power-iteration bound: {exact}");
     }
 

@@ -10,20 +10,23 @@
 //!
 //! Pipeline stages, one module each:
 //!
-//! * [`padding`] — embed Δ into the next power of two. The paper's scheme
-//!   (Eq. 7) fills the new diagonal with `λ̃_max/2` so padding adds **no**
-//!   spurious zero eigenvalues; the zero-fill baseline (with its
-//!   post-correction) is also provided for the ablation bench.
+//! * [`spectrum`] — the one representation every served estimate reads
+//!   `p(0)` from: the *unpadded* Laplacian's spectrum (dense Jacobi or
+//!   sparse full-run Lanczos, routed by size), rescaled by `δ/λ̃_max`,
+//!   plus the `2^q − |S_k|` padding eigenvalues as one closed-form term.
+//! * [`padding`] — the paper's Eq. 7 embedding into the next power of
+//!   two. Its `λ̃_max/2` fill adds **no** spurious zero eigenvalues; the
+//!   zero-fill baseline (with its post-correction) is also provided for
+//!   the ablation bench. The padded matrix itself is built only where a
+//!   circuit backend (or the padded-matrix reference) needs one.
 //! * [`scaling`] — rescale by `δ/λ̃_max` (Eqs. 8–9) with δ slightly below
-//!   2π, using the Gershgorin bound `λ̃_max`, so every eigenvalue maps to
-//!   a QPE phase in `[0, 1)` without aliasing.
-//! * [`backend`] — four interchangeable ways to obtain `p(0)`, all
-//!   consuming the Hamiltonian through `qtda_linalg`'s `LaplacianOp`
-//!   abstraction: gate-level statevector QPE with ancilla-purified
-//!   mixed state (faithful to Figs. 2 & 6), the analytic spectral
-//!   response (distribution-identical, polynomial cost), Trotterised
-//!   QPE (Fig. 7, with controllable product-formula error), and the
-//!   matvec-only Lanczos spectral response that powers the sparse path.
+//!   2π, using the configured bound `λ̃_max` (Gershgorin by default), so
+//!   every eigenvalue maps to a QPE phase in `[0, 1)` without aliasing.
+//! * [`backend`] — three interchangeable ways to obtain `p(0)` from the
+//!   padded, rescaled matrix: gate-level statevector QPE with
+//!   ancilla-purified mixed state (faithful to Figs. 2 & 6), the analytic
+//!   spectral response (the padded-matrix reference), and Trotterised
+//!   QPE (Fig. 7, with controllable product-formula error).
 //! * [`estimator`] — shot sampling, padding correction, rounding.
 //! * [`query`] — the unified request API: the [`query::BettiRequest`]
 //!   builder, the one [`query::Query::run`] executor, and the
@@ -56,7 +59,9 @@ pub use backend::{
     LanczosBackend, QpeBackend, SpectralBackend, StatevectorBackend, TrotterBackend,
 };
 pub use estimator::{BettiEstimate, BettiEstimator, EstimatorConfig};
-pub use padding::{pad_laplacian, pad_operator, LambdaMaxBound, PaddedLaplacian, PaddingScheme};
+pub use padding::{
+    pad_laplacian, pad_laplacian_bounded, LambdaMaxBound, PaddedLaplacian, PaddingScheme,
+};
 pub use persist::{PersistenceDiagrams, PersistencePair, SlicePersistence};
 pub use pipeline::{betti_curve, BackendKind, BettiCurve, DispatchPolicy, PipelineConfig};
 pub use query::{
@@ -66,4 +71,3 @@ pub use query::{
 // Re-exported so layers reading `QuerySlice::profile` need not name
 // `qtda-linalg` directly.
 pub use qtda_linalg::SolveProfile;
-pub use scaling::rescale_operator;

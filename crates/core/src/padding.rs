@@ -8,11 +8,14 @@
 //! must be subtracted after estimation; both schemes are implemented so
 //! the ablation bench can compare them.
 //!
-//! Padding is **representation-generic**: [`pad_operator`] works on any
-//! [`LaplacianOp`] (dense `Mat` or CSR), and the `λ̃_max` bound it embeds
-//! can be the paper's Gershgorin scan or an iterative power-iteration
-//! bound ([`LambdaMaxBound`]) that is usually tighter and touches the
-//! operator only through `matvec`.
+//! Served estimates never build the padded matrix: a
+//! [`PaddedSpectrum`](crate::spectrum::PaddedSpectrum) adds the padding
+//! eigenvalues in closed form. [`pad_laplacian`] materialises `Δ̃` only
+//! where a matrix is needed — the gate-level circuit backends, and
+//! [`crate::backend::SpectralBackend`] as the padded-matrix reference.
+//! The `λ̃_max` bound can be the paper's Gershgorin scan or an iterative
+//! power-iteration bound ([`LambdaMaxBound`]) that is usually tighter
+//! and touches the operator only through `matvec`.
 
 use qtda_linalg::op::{lambda_max_power_checked, LaplacianOp};
 use qtda_linalg::Mat;
@@ -27,6 +30,24 @@ pub enum PaddingScheme {
     /// `2^q − |S_k|` spurious zero eigenvalues, recorded in
     /// [`PaddedLaplacian::spurious_zeros`] for post-correction.
     Zeros,
+}
+
+impl PaddingScheme {
+    /// The value on the padded diagonal for a spectral bound `λ̃_max`.
+    pub(crate) fn fill(self, lambda_max: f64) -> f64 {
+        match self {
+            PaddingScheme::IdentityHalfLambdaMax => effective_lambda_max(lambda_max) / 2.0,
+            PaddingScheme::Zeros => 0.0,
+        }
+    }
+
+    /// Zero eigenvalues the padding adds when it fills `count` dimensions.
+    pub(crate) fn spurious_zeros(self, count: usize) -> usize {
+        match self {
+            PaddingScheme::IdentityHalfLambdaMax => 0,
+            PaddingScheme::Zeros => count,
+        }
+    }
 }
 
 /// How the spectral upper bound `λ̃_max` used for padding and rescaling
@@ -75,12 +96,11 @@ impl LambdaMaxBound {
 }
 
 /// A Laplacian embedded in `2^q × 2^q`, with the metadata the estimator
-/// needs downstream. Generic over the representation (`Mat` by default,
-/// `CsrMatrix` on the sparse path).
+/// needs downstream.
 #[derive(Clone, Debug)]
-pub struct PaddedLaplacian<M = Mat> {
+pub struct PaddedLaplacian {
     /// The padded matrix `Δ̃` (`2^q × 2^q`).
-    pub matrix: M,
+    pub matrix: Mat,
     /// Original dimension `|S_k|`.
     pub original_dim: usize,
     /// Number of system qubits `q = max(1, ⌈log₂|S_k|⌉)`.
@@ -95,7 +115,7 @@ pub struct PaddedLaplacian<M = Mat> {
     pub scheme: PaddingScheme,
 }
 
-impl<M> PaddedLaplacian<M> {
+impl PaddedLaplacian {
     /// Padded dimension `2^q`.
     pub fn padded_dim(&self) -> usize {
         1 << self.q
@@ -103,10 +123,7 @@ impl<M> PaddedLaplacian<M> {
 
     /// The fill value used on the padded diagonal.
     pub fn fill_value(&self) -> f64 {
-        match self.scheme {
-            PaddingScheme::IdentityHalfLambdaMax => effective_lambda_max(self.lambda_max) / 2.0,
-            PaddingScheme::Zeros => 0.0,
-        }
+        self.scheme.fill(self.lambda_max)
     }
 }
 
@@ -122,36 +139,35 @@ pub fn effective_lambda_max(bound: f64) -> f64 {
     }
 }
 
-/// Pads any [`LaplacianOp`] per Eq. 7, staying in its representation.
-/// Panics on an empty operator (an empty `S_k` has no Laplacian to
-/// estimate — callers report β̃ = 0 directly).
-pub fn pad_operator<M: LaplacianOp>(
-    laplacian: &M,
+/// System qubits for an `n`-dimensional Laplacian: `q = ⌈log₂ n⌉`, at
+/// least 1.
+pub(crate) fn system_qubits(n: usize) -> usize {
+    (usize::BITS - (n - 1).leading_zeros()).max(1) as usize
+}
+
+/// Pads a dense combinatorial Laplacian per Eq. 7 with an explicit
+/// `λ̃_max` strategy. Panics on a non-square or empty matrix (an empty
+/// `S_k` has no Laplacian to estimate — callers report β̃ = 0 directly).
+pub fn pad_laplacian_bounded(
+    laplacian: &Mat,
     scheme: PaddingScheme,
     bound: LambdaMaxBound,
-) -> PaddedLaplacian<M> {
-    let d = laplacian.dim();
+) -> PaddedLaplacian {
+    assert!(laplacian.is_square(), "Laplacian must be square");
+    let d = laplacian.rows();
     assert!(d > 0, "cannot pad an empty Laplacian");
     let lambda_max = bound.resolve(laplacian);
-    let q = (usize::BITS - (d - 1).leading_zeros()).max(1) as usize; // ⌈log₂ d⌉, min 1
+    let q = system_qubits(d);
     let target = 1usize << q;
-    let fill = match scheme {
-        PaddingScheme::IdentityHalfLambdaMax => effective_lambda_max(lambda_max) / 2.0,
-        PaddingScheme::Zeros => 0.0,
-    };
-    let matrix = laplacian.embed_top_left(target, fill);
-    let spurious_zeros = match scheme {
-        PaddingScheme::IdentityHalfLambdaMax => 0,
-        PaddingScheme::Zeros => target - d,
-    };
+    let matrix = laplacian.embed_top_left(target, scheme.fill(lambda_max));
+    let spurious_zeros = scheme.spurious_zeros(target - d);
     PaddedLaplacian { matrix, original_dim: d, q, lambda_max, spurious_zeros, scheme }
 }
 
 /// Pads a dense combinatorial Laplacian per Eq. 7 with the paper's
-/// Gershgorin bound. Panics on a non-square or empty matrix.
+/// Gershgorin bound.
 pub fn pad_laplacian(laplacian: &Mat, scheme: PaddingScheme) -> PaddedLaplacian {
-    assert!(laplacian.is_square(), "Laplacian must be square");
-    pad_operator(laplacian, scheme, LambdaMaxBound::Gershgorin)
+    pad_laplacian_bounded(laplacian, scheme, LambdaMaxBound::Gershgorin)
 }
 
 #[cfg(test)]
@@ -234,20 +250,6 @@ mod tests {
     }
 
     #[test]
-    fn sparse_padding_matches_dense_padding() {
-        let l1 = combinatorial_laplacian(&worked_example_complex(), 1);
-        let sparse = qtda_linalg::CsrMatrix::from_dense(&l1, 0.0);
-        for scheme in [PaddingScheme::IdentityHalfLambdaMax, PaddingScheme::Zeros] {
-            let dense_pad = pad_laplacian(&l1, scheme);
-            let sparse_pad = pad_operator(&sparse, scheme, LambdaMaxBound::Gershgorin);
-            assert_eq!(sparse_pad.q, dense_pad.q);
-            assert_eq!(sparse_pad.lambda_max, dense_pad.lambda_max);
-            assert_eq!(sparse_pad.spurious_zeros, dense_pad.spurious_zeros);
-            assert!(sparse_pad.matrix.to_dense().max_abs_diff(&dense_pad.matrix) < 1e-12);
-        }
-    }
-
-    #[test]
     fn power_iteration_bound_is_tighter_but_sound() {
         // Path Laplacian: Gershgorin gives 4, the true λ_max ≈ 3.902.
         let l = Mat::from_rows(&[
@@ -257,7 +259,7 @@ mod tests {
             vec![0.0, 0.0, -1.0, 1.0],
         ]);
         let power = LambdaMaxBound::PowerIteration { iterations: 300, seed: 9 };
-        let padded = pad_operator(&l, PaddingScheme::IdentityHalfLambdaMax, power);
+        let padded = pad_laplacian_bounded(&l, PaddingScheme::IdentityHalfLambdaMax, power);
         let exact = SymEigen::eigenvalues(&l).last().copied().unwrap();
         assert!(padded.lambda_max >= exact - 1e-9, "unsound bound {}", padded.lambda_max);
         assert!(

@@ -7,15 +7,19 @@
 //! [`BackendKind`], [`PipelineConfig`]) and the multi-scale
 //! [`betti_curve`] convenience.
 //!
-//! The pipeline is **sparse-first**: per homology dimension it picks the
-//! Laplacian representation by size — small `S_k` take the dense route
-//! (Gershgorin + dense spectral backend, bit-compatible with the paper's
-//! worked example), large `S_k` assemble a CSR Laplacian straight from
-//! the boundary maps and run **one** matvec-only Lanczos decomposition
-//! ([`PaddedSpectrum`](crate::spectrum::PaddedSpectrum)) that yields the QPE estimate and the classical
-//! kernel-count cross-check together. Multi-scale [`betti_curve`]
-//! sweeps run every ε (and every dimension within an ε) in parallel via
-//! rayon.
+//! Every served estimate reads `p(0)` off **one** representation, a
+//! [`PaddedSpectrum`](crate::spectrum::PaddedSpectrum) of the *unpadded*
+//! Δ_k with the `2^q − |S_k|` padding eigenvalues added in closed form.
+//! Per homology dimension the pipeline picks only the eigensolver by
+//! size: small `S_k` take the dense route (Jacobi on the `|S_k| × |S_k|`
+//! matrix), large `S_k` assemble a CSR Laplacian straight from the
+//! boundary maps and run **one** matvec-only Lanczos decomposition that
+//! yields the QPE estimate and the classical kernel-count cross-check
+//! together. Both are pinned to the padded-matrix
+//! [`SpectralBackend`](crate::backend::SpectralBackend) reference. The
+//! statevector tier alone builds the padded circuit. Multi-scale
+//! [`betti_curve`] sweeps run every ε (and every dimension within an ε)
+//! in parallel via rayon.
 
 use crate::estimator::EstimatorConfig;
 use crate::query::BettiRequest;
@@ -23,9 +27,12 @@ use qtda_tda::filtration::max_scale;
 use qtda_tda::laplacian_filtration::LaplacianFiltration;
 use qtda_tda::point_cloud::{Metric, PointCloud};
 
-/// Default `|S_k|` above which the pipeline switches to the sparse
-/// (CSR + Lanczos) path. Below this the dense eigensolver is faster in
-/// absolute terms and matches the paper's worked example bit for bit.
+/// Default `|S_k|` at or above which the pipeline switches to the sparse
+/// (CSR + Lanczos) path; below it the dense Jacobi eigensolve of the
+/// unpadded Δ_k runs. Both routes produce the same spectrum up to
+/// rounding. The value was measured when the dense route still
+/// decomposed the padded `2^q` matrix, so the crossover is due a
+/// re-measure now that it decomposes `|S_k| × |S_k|`.
 pub const DEFAULT_SPARSE_THRESHOLD: usize = 64;
 
 /// Which concrete backend a `(complex, dimension)` unit is routed to.
@@ -41,7 +48,7 @@ pub enum BackendKind {
     /// Gate-level statevector QPE (Fig. 6 circuit, exponential — tiny
     /// complexes only).
     Statevector,
-    /// Dense combinatorial Laplacian + analytic spectral backend.
+    /// Dense combinatorial Laplacian + Jacobi on the unpadded matrix.
     DenseEigen,
     /// CSR Laplacian + single matvec-only Lanczos decomposition.
     SparseLanczos,

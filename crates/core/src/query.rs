@@ -750,14 +750,15 @@ fn unit_dispatch(
     dense_laplacian: impl FnOnce() -> qtda_linalg::Mat,
     classical: impl FnOnce() -> usize,
 ) -> UnitValue {
+    let estimator = BettiEstimator::new(*estimator_config);
     if n_k == 0 {
         // Empty S_k short-circuits to a zero estimate (q = 0).
-        let estimator = BettiEstimator::new(*estimator_config);
         return (estimator.estimate(&qtda_linalg::Mat::zeros(0, 0)), 0, SolveProfile::default());
     }
+    // The dense and sparse routes read p(0) off the same unpadded
+    // `PaddedSpectrum`; they differ only in the eigensolver.
     let ((estimate, betti), profile) = run_profiled(|| match policy.choose(n_k) {
         crate::pipeline::BackendKind::SparseLanczos => {
-            let estimator = BettiEstimator::new(*estimator_config);
             let decompose = || {
                 PaddedSpectrum::of_sparse_laplacian_bounded(
                     &sparse_laplacian(),
@@ -781,7 +782,6 @@ fn unit_dispatch(
             (estimator.estimate_from_spectrum(&spectrum), spectrum.kernel_dim())
         }
         crate::pipeline::BackendKind::DenseEigen => {
-            let estimator = BettiEstimator::new(*estimator_config);
             (estimator.estimate(&dense_laplacian()), classical())
         }
         crate::pipeline::BackendKind::Statevector => {

@@ -7,7 +7,6 @@
 //! already fits.
 
 use crate::padding::{effective_lambda_max, PaddedLaplacian};
-use qtda_linalg::op::LaplacianOp;
 use qtda_linalg::Mat;
 use std::f64::consts::TAU;
 
@@ -52,17 +51,10 @@ impl Delta {
     }
 }
 
-/// The QPE Hamiltonian `H = (δ/λ̃_max)·Δ̃` (Eq. 9), staying in the padded
-/// Laplacian's representation (dense or CSR).
-pub fn rescale_operator<M: LaplacianOp>(padded: &PaddedLaplacian<M>, delta: Delta) -> M {
-    let bound = effective_lambda_max(padded.lambda_max);
-    let d = delta.resolve(padded.lambda_max);
-    padded.matrix.scale_by(d / bound)
-}
-
-/// The QPE Hamiltonian `H = (δ/λ̃_max)·Δ̃` (Eq. 9), dense form.
+/// The QPE Hamiltonian `H = (δ/λ̃_max)·Δ̃` (Eq. 9).
 pub fn rescale(padded: &PaddedLaplacian, delta: Delta) -> Mat {
-    rescale_operator(padded, delta)
+    let bound = effective_lambda_max(padded.lambda_max);
+    padded.matrix.scale(delta.resolve(padded.lambda_max) / bound)
 }
 
 /// Maps a Laplacian eigenvalue `λ` of the *rescaled* `H` to its QPE phase

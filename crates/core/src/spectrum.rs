@@ -1,28 +1,41 @@
-//! Precomputed padded spectra for large parameter sweeps.
+//! The QPE-ready spectrum every served estimate reads `p(0)` from.
 //!
-//! The Fig. 3 experiment evaluates the same Laplacian under 50
-//! (shots × precision) settings. Eigendecomposing once and replaying the
-//! analytic QPE response per setting turns an `O(settings · d³)` sweep
-//! into `O(d³ + settings · d)`. Padding eigenvalues are appended
-//! analytically (the padded block is diagonal), so the decomposition runs
-//! at the *original* dimension.
+//! Emulated classically, `p(0)` is the QPE zero-outcome response
+//! averaged over the spectrum of the padded, rescaled Laplacian
+//! `H = (δ/λ̃_max)·Δ̃` (Eqs. 7–9). The padded block is diagonal, so its
+//! `2^q − n` eigenvalues are all the fill value: they form one known
+//! point mass. A [`PaddedSpectrum`] therefore decomposes only the
+//! *unpadded* `n × n` Laplacian — Jacobi on the dense route
+//! ([`PaddedSpectrum::of_laplacian`]), full-run Lanczos on the sparse one
+//! ([`PaddedSpectrum::of_sparse_laplacian_bounded`]) — and adds the
+//! padding phases as one closed-form term:
+//!
+//! `2^q · p(0) = Σ_{j<n} f(θ_j) + (2^q − n) · f(θ_fill)`.
+//!
+//! No `2^q` matrix is ever built. Decomposing once and replaying the
+//! analytic response also turns a (shots × precision) sweep such as
+//! Fig. 3 into `O(n³ + settings · n)`.
 
-use crate::padding::{effective_lambda_max, LambdaMaxBound, PaddingScheme};
+use crate::estimator::{padding_corrected, BettiEstimate};
+use crate::padding::{effective_lambda_max, system_qubits, LambdaMaxBound, PaddingScheme};
 use crate::scaling::{eigenvalue_to_phase, Delta};
 use qtda_linalg::eigen::SymEigen;
-use qtda_linalg::gershgorin::max_eigenvalue_bound;
 use qtda_linalg::lanczos::lanczos_ritz_values;
+use qtda_linalg::op::LaplacianOp;
 use qtda_linalg::sparse::CsrMatrix;
 use qtda_linalg::Mat;
-use qtda_qsim::measure::sample_zero_count;
 use qtda_qsim::qpe::qpe_outcome_probability;
 use rand::Rng;
 
-/// The QPE-ready spectrum of a padded, rescaled Laplacian.
+/// The QPE-ready spectrum of a padded, rescaled Laplacian, kept as its
+/// `n` unpadded phases plus the one padding phase and its multiplicity.
 #[derive(Clone, Debug)]
 pub struct PaddedSpectrum {
-    /// QPE phases θ_j ∈ [0, 1) of all `2^q` eigenvalues.
+    /// QPE phases θ_j ∈ [0, 1) of the `n` unpadded eigenvalues.
     pub phases: Vec<f64>,
+    /// QPE phase of the padding eigenvalue, shared by all
+    /// [`Self::fill_count`] padded dimensions.
+    pub fill_phase: f64,
     /// System qubits.
     pub q: usize,
     /// Spurious zeros to subtract post-estimation (zero-fill padding only).
@@ -30,51 +43,20 @@ pub struct PaddedSpectrum {
 }
 
 impl PaddedSpectrum {
-    /// Builds the spectrum of `H = (δ/λ̃_max)·Δ̃` from an unpadded
-    /// Laplacian. Panics on an empty matrix.
-    pub fn of_laplacian(laplacian: &Mat, padding: PaddingScheme, delta: Delta) -> Self {
-        assert!(laplacian.rows() > 0, "empty Laplacian has no spectrum");
-        let d = laplacian.rows();
-        let lambda_max = max_eigenvalue_bound(laplacian);
-        let bound = effective_lambda_max(lambda_max);
-        let resolved_delta = delta.resolve(lambda_max);
-        let scale = resolved_delta / bound;
-
-        let q = (usize::BITS - (d - 1).leading_zeros()).max(1) as usize;
-        let target = 1usize << q;
-        let (fill, spurious_zeros) = match padding {
-            PaddingScheme::IdentityHalfLambdaMax => (bound / 2.0, 0),
-            PaddingScheme::Zeros => (0.0, target - d),
-        };
-
-        let mut eigs = SymEigen::eigenvalues(laplacian);
-        snap_kernel_dust(&mut eigs);
-        eigs.extend(std::iter::repeat_n(fill, target - d));
-        let phases = eigs.into_iter().map(|l| eigenvalue_to_phase(l * scale)).collect();
-        PaddedSpectrum { phases, q, spurious_zeros }
+    /// Builds the spectrum of `H = (δ/λ̃_max)·Δ̃` from a dense unpadded
+    /// Laplacian (Jacobi on `n × n`). Panics on an empty matrix.
+    pub fn of_laplacian(
+        laplacian: &Mat,
+        padding: PaddingScheme,
+        delta: Delta,
+        lambda_bound: LambdaMaxBound,
+    ) -> Self {
+        Self::from_eigensolver(laplacian, padding, delta, lambda_bound, SymEigen::eigenvalues)
     }
 
     /// Sparse-path variant: eigenvalues via a full Lanczos run on a CSR
-    /// Laplacian (matvec-only; no dense matrix is ever formed). Intended
-    /// for large sparse complexes where Jacobi's dense O(d³) is the
-    /// bottleneck. Deterministic given `seed`.
-    pub fn of_sparse_laplacian(
-        laplacian: &CsrMatrix,
-        padding: PaddingScheme,
-        delta: Delta,
-        seed: u64,
-    ) -> Self {
-        Self::of_sparse_laplacian_bounded(
-            laplacian,
-            padding,
-            delta,
-            seed,
-            LambdaMaxBound::Gershgorin,
-        )
-    }
-
-    /// [`Self::of_sparse_laplacian`] with an explicit `λ̃_max` strategy
-    /// (e.g. the power-iteration bound on very large complexes).
+    /// Laplacian (matvec-only; no dense matrix is ever formed).
+    /// Deterministic given `seed`.
     pub fn of_sparse_laplacian_bounded(
         laplacian: &CsrMatrix,
         padding: PaddingScheme,
@@ -82,56 +64,69 @@ impl PaddedSpectrum {
         seed: u64,
         lambda_bound: LambdaMaxBound,
     ) -> Self {
-        let d = laplacian.n_rows();
-        assert!(d > 0, "empty Laplacian has no spectrum");
+        Self::from_eigensolver(laplacian, padding, delta, lambda_bound, |l| {
+            lanczos_ritz_values(l, seed)
+        })
+    }
+
+    /// The one body behind both constructors: `λ̃_max`, `q`, the fill,
+    /// the rescale and the phases, given the unpadded eigenvalues.
+    fn from_eigensolver<M: LaplacianOp>(
+        laplacian: &M,
+        padding: PaddingScheme,
+        delta: Delta,
+        lambda_bound: LambdaMaxBound,
+        eigenvalues: impl FnOnce(&M) -> Vec<f64>,
+    ) -> Self {
+        let n = laplacian.dim();
+        assert!(n > 0, "empty Laplacian has no spectrum");
         let lambda_max = lambda_bound.resolve(laplacian).max(0.0);
-        let bound = effective_lambda_max(lambda_max);
-        let resolved_delta = delta.resolve(lambda_max);
-        let scale = resolved_delta / bound;
-
-        let q = (usize::BITS - (d - 1).leading_zeros()).max(1) as usize;
-        let target = 1usize << q;
-        let (fill, spurious_zeros) = match padding {
-            PaddingScheme::IdentityHalfLambdaMax => (bound / 2.0, 0),
-            PaddingScheme::Zeros => (0.0, target - d),
-        };
-
-        let mut eigs = lanczos_ritz_values(laplacian, seed);
+        let scale = delta.resolve(lambda_max) / effective_lambda_max(lambda_max);
+        let q = system_qubits(n);
+        let to_phase = |lambda: f64| eigenvalue_to_phase(lambda * scale);
+        let mut eigs = eigenvalues(laplacian);
         snap_kernel_dust(&mut eigs);
-        eigs.extend(std::iter::repeat_n(fill, target - d));
-        let phases = eigs.into_iter().map(|l| eigenvalue_to_phase(l * scale)).collect();
-        PaddedSpectrum { phases, q, spurious_zeros }
+        PaddedSpectrum {
+            phases: eigs.into_iter().map(to_phase).collect(),
+            fill_phase: to_phase(padding.fill(lambda_max)),
+            q,
+            spurious_zeros: padding.spurious_zeros((1 << q) - n),
+        }
     }
 
-    /// Kernel dimension of the *original* Laplacian, read off the
-    /// precomputed spectrum for free: zero phases minus the zeros the
-    /// padding itself introduced. Both constructors snap solver dust on
-    /// kernel eigenvalues to exactly zero, so this equals β_k (Eq. 6) —
-    /// the classical cross-check costs no extra decomposition.
+    /// Number of padding eigenvalues, `2^q − n`.
+    pub fn fill_count(&self) -> usize {
+        (1 << self.q) - self.phases.len()
+    }
+
+    /// Kernel dimension of the *original* Laplacian: the zeros among the
+    /// unpadded phases. Both constructors snap solver dust on kernel
+    /// eigenvalues to exactly zero, so this equals β_k (Eq. 6) — the
+    /// classical cross-check costs no extra decomposition.
     pub fn kernel_dim(&self) -> usize {
-        let zero_phases = self.phases.iter().filter(|&&t| t == 0.0).count();
-        zero_phases - self.spurious_zeros
+        self.phases.iter().filter(|&&t| t == 0.0).count()
     }
 
-    /// Exact `p(0)` for the given precision (identical to
-    /// [`crate::backend::SpectralBackend`] on the padded matrix).
+    /// Exact `p(0)` for the given precision: the QPE zero response
+    /// summed over the unpadded phases, plus the padding phases as one
+    /// closed-form term (equal to [`crate::backend::SpectralBackend`] on
+    /// the padded matrix up to rounding).
     pub fn p_zero(&self, precision: usize) -> f64 {
-        self.phases.iter().map(|&theta| qpe_outcome_probability(theta, precision, 0)).sum::<f64>()
-            / self.phases.len() as f64
+        let response = |theta: f64| qpe_outcome_probability(theta, precision, 0);
+        let unpadded = self.phases.iter().map(|&theta| response(theta)).sum::<f64>();
+        let padding = self.fill_count() as f64 * response(self.fill_phase);
+        (unpadded + padding) / (1usize << self.q) as f64
     }
 
     /// One shot-sampled, padding-corrected Betti estimate.
     pub fn estimate(&self, precision: usize, shots: usize, rng: &mut impl Rng) -> f64 {
-        let p0 = self.p_zero(precision);
-        let zeros = sample_zero_count(p0, shots, rng);
-        let raw = (1usize << self.q) as f64 * zeros as f64 / shots as f64;
-        (raw - self.spurious_zeros as f64).max(0.0)
+        BettiEstimate::sample(self.p_zero(precision), self.q, self.spurious_zeros, shots, rng)
+            .corrected
     }
 
     /// The infinite-shot estimate.
     pub fn estimate_exact(&self, precision: usize) -> f64 {
-        let raw = (1usize << self.q) as f64 * self.p_zero(precision);
-        (raw - self.spurious_zeros as f64).max(0.0)
+        padding_corrected(self.p_zero(precision), self.q, self.spurious_zeros)
     }
 }
 
@@ -157,14 +152,24 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    const GERSHGORIN: LambdaMaxBound = LambdaMaxBound::Gershgorin;
+
     fn l1() -> Mat {
         combinatorial_laplacian(&worked_example_complex(), 1)
     }
 
+    fn dense(scheme: PaddingScheme) -> PaddedSpectrum {
+        PaddedSpectrum::of_laplacian(&l1(), scheme, Delta::Auto, GERSHGORIN)
+    }
+
+    fn sparse(scheme: PaddingScheme, seed: u64, bound: LambdaMaxBound) -> PaddedSpectrum {
+        let csr = CsrMatrix::from_dense(&l1(), 0.0);
+        PaddedSpectrum::of_sparse_laplacian_bounded(&csr, scheme, Delta::Auto, seed, bound)
+    }
+
     #[test]
     fn matches_full_matrix_backend() {
-        let spectrum =
-            PaddedSpectrum::of_laplacian(&l1(), PaddingScheme::IdentityHalfLambdaMax, Delta::Auto);
+        let spectrum = dense(PaddingScheme::IdentityHalfLambdaMax);
         let padded = pad_laplacian(&l1(), PaddingScheme::IdentityHalfLambdaMax);
         let h = rescale(&padded, Delta::Auto);
         for p in 1..=6 {
@@ -175,25 +180,28 @@ mod tests {
     }
 
     #[test]
-    fn phase_count_is_padded_dimension() {
-        let s =
-            PaddedSpectrum::of_laplacian(&l1(), PaddingScheme::IdentityHalfLambdaMax, Delta::Auto);
-        assert_eq!(s.phases.len(), 8);
-        assert_eq!(s.q, 3);
+    fn phases_are_unpadded_with_a_counted_fill() {
+        // Δ₁ of the worked example is 6×6, padded to 8 = 2³: six
+        // decomposed phases and one fill phase of multiplicity two, at
+        // (λ̃_max/2)·(δ/λ̃_max)/2π = 3/2π with δ = λ̃_max = 6.
+        let s = dense(PaddingScheme::IdentityHalfLambdaMax);
+        assert_eq!(s.phases.len(), 6);
+        assert_eq!((s.q, s.fill_count()), (3, 2));
+        assert_eq!(s.fill_phase, eigenvalue_to_phase(3.0));
     }
 
     #[test]
     fn zero_padding_spectrum_counts_spurious() {
-        let s = PaddedSpectrum::of_laplacian(&l1(), PaddingScheme::Zeros, Delta::Auto);
+        let s = dense(PaddingScheme::Zeros);
         assert_eq!(s.spurious_zeros, 2);
+        assert_eq!(s.fill_phase, 0.0);
         // Exact estimate still recovers β₁ = 1 at high precision.
         assert!((s.estimate_exact(9) - 1.0).abs() < 0.05);
     }
 
     #[test]
     fn sampled_estimate_concentrates() {
-        let s =
-            PaddedSpectrum::of_laplacian(&l1(), PaddingScheme::IdentityHalfLambdaMax, Delta::Auto);
+        let s = dense(PaddingScheme::IdentityHalfLambdaMax);
         let mut rng = StdRng::seed_from_u64(1);
         let estimate = s.estimate(8, 100_000, &mut rng);
         assert!((estimate - s.estimate_exact(8)).abs() < 0.05);
@@ -201,15 +209,8 @@ mod tests {
 
     #[test]
     fn sparse_lanczos_path_matches_dense_path() {
-        let dense_spectrum =
-            PaddedSpectrum::of_laplacian(&l1(), PaddingScheme::IdentityHalfLambdaMax, Delta::Auto);
-        let csr = CsrMatrix::from_dense(&l1(), 0.0);
-        let sparse_spectrum = PaddedSpectrum::of_sparse_laplacian(
-            &csr,
-            PaddingScheme::IdentityHalfLambdaMax,
-            Delta::Auto,
-            13,
-        );
+        let dense_spectrum = dense(PaddingScheme::IdentityHalfLambdaMax);
+        let sparse_spectrum = sparse(PaddingScheme::IdentityHalfLambdaMax, 13, GERSHGORIN);
         assert_eq!(sparse_spectrum.q, dense_spectrum.q);
         for p in [2usize, 5, 8] {
             let a = dense_spectrum.p_zero(p);
@@ -221,36 +222,25 @@ mod tests {
 
     #[test]
     fn sparse_path_zero_padding_correction() {
-        let csr = CsrMatrix::from_dense(&l1(), 0.0);
-        let s = PaddedSpectrum::of_sparse_laplacian(&csr, PaddingScheme::Zeros, Delta::Auto, 7);
+        let s = sparse(PaddingScheme::Zeros, 7, GERSHGORIN);
         assert_eq!(s.spurious_zeros, 2);
         assert!((s.estimate_exact(9) - 1.0).abs() < 0.05);
     }
 
     #[test]
     fn kernel_dim_reads_off_both_constructors_and_schemes() {
-        let csr = CsrMatrix::from_dense(&l1(), 0.0);
         for scheme in [PaddingScheme::IdentityHalfLambdaMax, PaddingScheme::Zeros] {
-            let dense = PaddedSpectrum::of_laplacian(&l1(), scheme, Delta::Auto);
-            let sparse = PaddedSpectrum::of_sparse_laplacian(&csr, scheme, Delta::Auto, 13);
             // β₁ of the worked example is 1; padding zeros must not
             // leak into the count under either scheme.
-            assert_eq!(dense.kernel_dim(), 1, "{scheme:?} dense");
-            assert_eq!(sparse.kernel_dim(), 1, "{scheme:?} sparse");
+            assert_eq!(dense(scheme).kernel_dim(), 1, "{scheme:?} dense");
+            assert_eq!(sparse(scheme, 13, GERSHGORIN).kernel_dim(), 1, "{scheme:?} sparse");
         }
     }
 
     #[test]
     fn bounded_constructor_with_power_iteration_still_recovers_beta() {
-        use crate::padding::LambdaMaxBound;
-        let csr = CsrMatrix::from_dense(&l1(), 0.0);
-        let s = PaddedSpectrum::of_sparse_laplacian_bounded(
-            &csr,
-            PaddingScheme::IdentityHalfLambdaMax,
-            Delta::Auto,
-            13,
-            LambdaMaxBound::PowerIteration { iterations: 200, seed: 3 },
-        );
+        let power = LambdaMaxBound::PowerIteration { iterations: 200, seed: 3 };
+        let s = sparse(PaddingScheme::IdentityHalfLambdaMax, 13, power);
         assert_eq!(s.kernel_dim(), 1);
         assert!((s.estimate_exact(9) - 1.0).abs() < 0.05);
     }
@@ -261,8 +251,10 @@ mod tests {
             &Mat::zeros(3, 3),
             PaddingScheme::IdentityHalfLambdaMax,
             Delta::Auto,
+            GERSHGORIN,
         );
-        assert_eq!(s.phases.iter().filter(|&&t| t == 0.0).count(), 3);
+        assert_eq!(s.kernel_dim(), 3);
+        assert!(s.fill_phase > 0.0, "the fill adds no zero");
         assert!((s.estimate_exact(8) - 3.0).abs() < 0.05);
     }
 }

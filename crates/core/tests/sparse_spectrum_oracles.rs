@@ -134,7 +134,8 @@ fn check(unit: &Unit) -> u64 {
 
     assert_eq!(sparse.kernel_dim(), *beta, "{label}: kernel dimension vs barcode β");
 
-    let reference = PaddedSpectrum::of_laplacian(&dense, padding, delta);
+    let reference =
+        PaddedSpectrum::of_laplacian(&dense, padding, delta, LambdaMaxBound::Gershgorin);
     assert_eq!(sparse.q, reference.q, "{label}");
     for precision in [3usize, 5, 8] {
         let (got, want) = (sparse.p_zero(precision), reference.p_zero(precision));

@@ -5,6 +5,7 @@ use qtda_core::padding::{LambdaMaxBound, PaddingScheme};
 use qtda_core::persist::is_ascending_grid;
 use qtda_core::pipeline::DEFAULT_SPARSE_THRESHOLD;
 use qtda_core::scaling::Delta;
+use qtda_qsim::qpe::is_valid_precision;
 use qtda_tda::point_cloud::{Metric, PointCloud};
 
 /// One Betti-serving request: estimate `β̃_0 … β̃_K` of a point cloud at
@@ -62,7 +63,8 @@ impl BettiJob {
 
     /// Checks that the job can be served: every coordinate and every ε
     /// is finite, the grid ascends when persistence is on, an explicit
-    /// δ lies in `(0, 2π)` and at least one shot is sampled. Negative
+    /// δ lies in `(0, 2π)`, the QPE precision is one the analytic
+    /// response supports and at least one shot is sampled. Negative
     /// scales stay legal (they serve empty slices). The service runs
     /// this at admission, so a malformed job is refused with its cause
     /// instead of reaching the batcher.
@@ -79,6 +81,9 @@ impl BettiJob {
         }
         if !self.estimator.delta.is_valid() {
             return Err(JobError::DeltaOutOfRange);
+        }
+        if !is_valid_precision(self.estimator.precision_qubits) {
+            return Err(JobError::PrecisionOutOfRange);
         }
         if self.estimator.shots == 0 {
             return Err(JobError::ZeroShots);
@@ -194,6 +199,9 @@ pub enum JobError {
     DescendingGrid,
     /// The estimator's explicit δ lies outside `(0, 2π)`.
     DeltaOutOfRange,
+    /// The estimator's QPE precision is zero, or too large for the `2^p`
+    /// outcomes to index a `u64`.
+    PrecisionOutOfRange,
     /// The estimator samples no shots, so `p(0)` is undefined.
     ZeroShots,
 }
@@ -207,6 +215,9 @@ impl std::fmt::Display for JobError {
             JobError::NonFiniteEpsilon { index } => write!(f, "ε-grid entry {index} is not finite"),
             JobError::DescendingGrid => write!(f, "persistence mode requires an ascending ε-grid"),
             JobError::DeltaOutOfRange => write!(f, "estimator δ must lie in (0, 2π)"),
+            JobError::PrecisionOutOfRange => {
+                write!(f, "estimator precision must be at least one qubit and keep 2^p in a u64")
+            }
             JobError::ZeroShots => write!(f, "estimator needs at least one shot"),
         }
     }
@@ -375,6 +386,11 @@ mod tests {
             let mut job = BettiJob::new(square_cloud(), vec![0.5]);
             job.estimator.delta = Delta::Fixed(delta);
             assert_eq!(job.validate(), Err(JobError::DeltaOutOfRange), "δ = {delta}");
+        }
+        for precision in [0, 64] {
+            let mut job = BettiJob::new(square_cloud(), vec![0.5]);
+            job.estimator.precision_qubits = precision;
+            assert_eq!(job.validate(), Err(JobError::PrecisionOutOfRange), "precision {precision}");
         }
         let mut no_shots = BettiJob::new(square_cloud(), vec![0.5]);
         no_shots.estimator.shots = 0;

@@ -6,8 +6,8 @@
 //! written against the [`LaplacianOp`] abstraction and works for any
 //! representation (CSR in practice; dense for cross-checks). With full
 //! reorthogonalisation and a complete `n`-step run it reproduces the
-//! exact spectrum used by `qtda-core`'s `PaddedSpectrum` and
-//! `LanczosBackend`.
+//! exact spectrum behind the sparse route of `qtda-core`'s
+//! `PaddedSpectrum`.
 
 use crate::op::LaplacianOp;
 use crate::profile;

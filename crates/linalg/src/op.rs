@@ -1,24 +1,20 @@
-//! The [`LaplacianOp`] abstraction: what the QPE pipeline actually needs
-//! from a combinatorial Laplacian.
+//! The [`LaplacianOp`] abstraction: what the spectral path needs from an
+//! unpadded combinatorial Laplacian.
 //!
-//! Every stage above the matrix layer — padding (Eq. 7), rescaling
-//! (Eqs. 8–9), and the `p(0)` backends — consumes a Laplacian only
-//! through `matvec`, its dimension, and a spectral upper bound. Defining
-//! that contract as a trait lets the whole pipeline run **sparse-first**:
-//! dense [`Mat`] and [`CsrMatrix`] are interchangeable, and iterative
-//! algorithms (power iteration, Lanczos) are written once against the
-//! trait instead of once per representation.
+//! Building a QPE spectrum touches the Laplacian only through `matvec`,
+//! its dimension, and a spectral upper bound (the `λ̃_max` of Eqs. 7–9);
+//! padding is added in closed form above this layer, so no operator is
+//! ever padded or rescaled here. Defining that contract as a trait lets
+//! dense [`Mat`] and [`CsrMatrix`] share one bound computation, and
+//! iterative algorithms (power iteration, Lanczos) are written once
+//! against the trait instead of once per representation.
 
 use crate::matrix::Mat;
 use crate::sparse::CsrMatrix;
-use std::borrow::Cow;
 
-/// A real symmetric operator standing in for a combinatorial Laplacian.
-///
-/// Object-safe core (`dim`, `matvec`, `gershgorin_max`, `nnz`,
-/// `to_dense`, `dense`) plus sized constructors (`embed_top_left`,
-/// `scale_by`) that padding and rescaling use to stay within the same
-/// representation.
+/// A real symmetric operator standing in for a combinatorial Laplacian:
+/// an object-safe read-only view (`dim`, `matvec`, `gershgorin_max`,
+/// `nnz`, `to_dense`).
 pub trait LaplacianOp {
     /// Operator dimension (rows of the square matrix).
     fn dim(&self) -> usize;
@@ -43,25 +39,6 @@ pub trait LaplacianOp {
 
     /// An owned dense copy.
     fn to_dense(&self) -> Mat;
-
-    /// A dense view: borrowed when the operator already is dense,
-    /// owned otherwise. Lets dense-only backends avoid copying the
-    /// common dense case.
-    fn dense(&self) -> Cow<'_, Mat> {
-        Cow::Owned(self.to_dense())
-    }
-
-    /// Embeds into the top-left of an `n × n` operator whose remaining
-    /// diagonal is `fill` (the Eq. 7 padding shape), staying in the same
-    /// representation.
-    fn embed_top_left(&self, n: usize, fill: f64) -> Self
-    where
-        Self: Sized;
-
-    /// The operator scaled by `s`, staying in the same representation.
-    fn scale_by(&self, s: f64) -> Self
-    where
-        Self: Sized;
 }
 
 impl LaplacianOp for Mat {
@@ -88,18 +65,6 @@ impl LaplacianOp for Mat {
     fn to_dense(&self) -> Mat {
         self.clone()
     }
-
-    fn dense(&self) -> Cow<'_, Mat> {
-        Cow::Borrowed(self)
-    }
-
-    fn embed_top_left(&self, n: usize, fill: f64) -> Mat {
-        Mat::embed_top_left(self, n, fill)
-    }
-
-    fn scale_by(&self, s: f64) -> Mat {
-        self.scale(s)
-    }
 }
 
 impl LaplacianOp for CsrMatrix {
@@ -125,14 +90,6 @@ impl LaplacianOp for CsrMatrix {
 
     fn to_dense(&self) -> Mat {
         CsrMatrix::to_dense(self)
-    }
-
-    fn embed_top_left(&self, n: usize, fill: f64) -> CsrMatrix {
-        CsrMatrix::embed_top_left(self, n, fill)
-    }
-
-    fn scale_by(&self, s: f64) -> CsrMatrix {
-        CsrMatrix::scale(self, s)
     }
 }
 
@@ -268,26 +225,6 @@ mod tests {
             assert!((op.gershgorin_max() - 4.0).abs() < 1e-12);
             assert!(op.to_dense().max_abs_diff(&m) < 1e-15);
         }
-    }
-
-    #[test]
-    fn dense_view_borrows_for_mat() {
-        let m = laplacian_path4();
-        assert!(matches!(LaplacianOp::dense(&m), Cow::Borrowed(_)));
-        let csr = CsrMatrix::from_dense(&m, 0.0);
-        assert!(matches!(LaplacianOp::dense(&csr), Cow::Owned(_)));
-    }
-
-    #[test]
-    fn embed_and_scale_stay_in_representation() {
-        let m = laplacian_path4();
-        let csr = CsrMatrix::from_dense(&m, 0.0);
-        let padded_dense = LaplacianOp::embed_top_left(&m, 8, 2.5);
-        let padded_sparse = LaplacianOp::embed_top_left(&csr, 8, 2.5);
-        assert!(padded_sparse.to_dense().max_abs_diff(&padded_dense) < 1e-15);
-        let scaled_dense = m.scale_by(0.25);
-        let scaled_sparse = csr.scale_by(0.25);
-        assert!(scaled_sparse.to_dense().max_abs_diff(&scaled_dense) < 1e-15);
     }
 
     #[test]

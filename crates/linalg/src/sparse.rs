@@ -236,42 +236,6 @@ impl CsrMatrix {
         self.matvec(x).iter().zip(x).map(|(y, xi)| y * xi).sum()
     }
 
-    /// Embeds `self` into the top-left of an `n × n` matrix whose
-    /// remaining diagonal is `fill` (the Eq. 7 padding shape), staying
-    /// sparse. Panics on a non-square input or a shrinking target.
-    pub fn embed_top_left(&self, n: usize, fill: f64) -> CsrMatrix {
-        assert_eq!(self.n_rows, self.n_cols, "padding requires a square matrix");
-        assert!(n >= self.n_rows, "target must not shrink the matrix");
-        let extra = if fill != 0.0 { n - self.n_rows } else { 0 };
-        let mut row_ptr = Vec::with_capacity(n + 1);
-        row_ptr.extend_from_slice(&self.row_ptr);
-        let mut col_idx = Vec::with_capacity(self.col_idx.len() + extra);
-        col_idx.extend_from_slice(&self.col_idx);
-        let mut values = Vec::with_capacity(self.values.len() + extra);
-        values.extend_from_slice(&self.values);
-        for i in self.n_rows..n {
-            if fill != 0.0 {
-                col_idx.push(i as u32);
-                values.push(fill);
-            }
-            row_ptr.push(col_idx.len());
-        }
-        CsrMatrix { n_rows: n, n_cols: n, row_ptr, col_idx, values }
-    }
-
-    /// The matrix scaled by `s`, staying sparse. Scaling by exactly zero
-    /// drops every stored entry (keeps the "no explicit zeros" invariant).
-    pub fn scale(&self, s: f64) -> CsrMatrix {
-        if s == 0.0 {
-            return CsrMatrix::from_triplets(self.n_rows, self.n_cols, Vec::new());
-        }
-        let mut out = self.clone();
-        for v in &mut out.values {
-            *v *= s;
-        }
-        out
-    }
-
     /// Gershgorin upper bound on the spectrum (square, any symmetry).
     pub fn gershgorin_max(&self) -> f64 {
         assert_eq!(self.n_rows, self.n_cols, "square matrices only");

@@ -76,13 +76,25 @@ pub fn system_register(precision: usize, q: usize) -> Vec<usize> {
     (precision..precision + q).collect()
 }
 
+/// `true` when `p`-qubit QPE has a defined outcome distribution here: at
+/// least one precision qubit, and few enough that the `2^p` outcomes
+/// index a `u64`. The precondition [`qpe_outcome_probability`] asserts,
+/// exposed so callers can refuse a bad precision before any work starts.
+pub fn is_valid_precision(precision: usize) -> bool {
+    precision >= 1 && precision < u64::BITS as usize
+}
+
 /// Analytic QPE outcome distribution: the probability that `p`-qubit QPE
 /// on an eigenstate of phase `θ ∈ [0, 1)` reads the integer `m`
 /// (the Fejér/Dirichlet kernel):
 ///
 /// `Pr[m|θ] = |2^{−p} Σ_k e^{2πik(θ − m/2^p)}|²
 ///          = sin²(2^p πΔ) / (4^p sin²(πΔ))`, `Δ = θ − m/2^p`.
+///
+/// # Panics
+/// If [`is_valid_precision`] does not hold.
 pub fn qpe_outcome_probability(theta: f64, precision: usize, m: u64) -> f64 {
+    assert!(is_valid_precision(precision), "no QPE outcome distribution at precision {precision}");
     let big_n = (1u64 << precision) as f64;
     let delta = theta - (m as f64) / big_n;
     // Wrap Δ to (−0.5, 0.5] — phases are periodic.

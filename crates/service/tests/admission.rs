@@ -11,9 +11,9 @@
 //!   journal chain, and its `Debug` form summarises the job instead of
 //!   printing every coordinate.
 //! * Estimator fields that would panic or poison a worker — a fixed δ
-//!   outside (0, 2π), NaN included, or zero shots — are refused with
-//!   their own causes, and the healthy neighbours complete
-//!   bit-identical to `run_batch`.
+//!   outside (0, 2π), NaN included, a QPE precision of 0 or 64 qubits,
+//!   or zero shots — are refused with their own causes, and the healthy
+//!   neighbours complete bit-identical to `run_batch`.
 
 use qtda_core::estimator::EstimatorConfig;
 use qtda_core::scaling::Delta;
@@ -116,11 +116,18 @@ fn invalid_estimator_fields_are_refused_and_their_neighbours_complete() {
         job.estimator.delta = Delta::Fixed(delta);
         job
     };
+    let with_precision = |precision: usize| {
+        let mut job = circle_job(9, vec![0.6]);
+        job.estimator.precision_qubits = precision;
+        job
+    };
     let mut no_shots = circle_job(8, vec![0.6]);
     no_shots.estimator.shots = 0;
     let invalid = [
         (with_delta(7.0), JobError::DeltaOutOfRange),
         (with_delta(f64::NAN), JobError::DeltaOutOfRange),
+        (with_precision(0), JobError::PrecisionOutOfRange),
+        (with_precision(64), JobError::PrecisionOutOfRange),
         (no_shots, JobError::ZeroShots),
     ];
 

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use qtda::core::analysis::absolute_error;
-use qtda::core::padding::PaddingScheme;
+use qtda::core::padding::{LambdaMaxBound, PaddingScheme};
 use qtda::core::scaling::Delta;
 use qtda::core::spectrum::PaddedSpectrum;
 use qtda::tda::betti::betti_numbers;
@@ -37,6 +37,7 @@ proptest! {
                 &l,
                 PaddingScheme::IdentityHalfLambdaMax,
                 Delta::Auto,
+                LambdaMaxBound::Gershgorin,
             );
             let estimate = spectrum.estimate_exact(10);
             let truth = betti.get(k).copied().unwrap_or(0);
@@ -60,6 +61,7 @@ proptest! {
                 &l,
                 PaddingScheme::IdentityHalfLambdaMax,
                 Delta::Auto,
+                LambdaMaxBound::Gershgorin,
             );
             let mut prev = f64::INFINITY;
             for p in 1..=8usize {
@@ -84,6 +86,7 @@ proptest! {
                 &l,
                 PaddingScheme::IdentityHalfLambdaMax,
                 Delta::Auto,
+                LambdaMaxBound::Gershgorin,
             );
             let est = s.estimate(3, 200, &mut rng);
             prop_assert!(est >= 0.0);
@@ -100,10 +103,12 @@ proptest! {
                 continue;
             }
             let l = combinatorial_laplacian(&c, k);
-            let id = PaddedSpectrum::of_laplacian(&l, PaddingScheme::IdentityHalfLambdaMax, Delta::Auto)
-                .estimate_exact(10);
-            let zeros = PaddedSpectrum::of_laplacian(&l, PaddingScheme::Zeros, Delta::Auto)
-                .estimate_exact(10);
+            let exact = |scheme| {
+                PaddedSpectrum::of_laplacian(&l, scheme, Delta::Auto, LambdaMaxBound::Gershgorin)
+                    .estimate_exact(10)
+            };
+            let id = exact(PaddingScheme::IdentityHalfLambdaMax);
+            let zeros = exact(PaddingScheme::Zeros);
             prop_assert!((id - zeros).abs() < 0.2, "k = {}: {} vs {}", k, id, zeros);
         }
     }
