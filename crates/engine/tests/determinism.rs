@@ -189,6 +189,12 @@ fn engine_agrees_with_the_barcode_oracle_on_random_clouds() {
         clouds.push(cloud);
         jobs.push(job);
     }
+    // Forced-sparse twins: every unit on the Lanczos route, so the
+    // sparse route's classical β is pinned to the oracle as well.
+    let twins: Vec<BettiJob> =
+        jobs.iter().cloned().map(|job| BettiJob { sparse_threshold: 0, ..job }).collect();
+    jobs.extend(twins);
+    clouds.extend(clouds.clone());
     let results = BatchEngine::with_defaults().run_batch(&jobs);
     for (cloud, result) in clouds.iter().zip(&results) {
         let filtration = Filtration::rips(cloud, 0.8, 2, Metric::Euclidean);
