@@ -365,8 +365,10 @@ impl<'a> BettiRequest<'a> {
     }
 
     /// A request over a prebuilt filtration arena; set the scales via
-    /// [`Self::at_scale`] or [`Self::on_grid`] (each must be at or
-    /// below the arena's construction scale for exact slices).
+    /// [`Self::at_scale`] or [`Self::on_grid`]. Every scale must be at
+    /// or below the arena's construction scale, and every requested
+    /// dimension below its construction dimension ([`Self::build`]
+    /// checks both).
     pub fn of_filtration(filtration: &'a LaplacianFiltration) -> Self {
         Self::new(QuerySource::Filtration(filtration))
     }
@@ -472,9 +474,12 @@ impl<'a> BettiRequest<'a> {
     ///
     /// # Panics
     /// If a cloud or filtration source has no scales, a complex source
-    /// has scales (a prebuilt complex has no scale semantics), or
+    /// has scales (a prebuilt complex has no scale semantics),
     /// persistence mode is requested of a complex source or with a
-    /// non-ascending ε-grid.
+    /// non-ascending ε-grid, or a filtration source is asked beyond its
+    /// arena: a dimension at or above its construction dimension, or a
+    /// scale above its construction scale (NaN and negative scales keep
+    /// their degenerate semantics).
     pub fn build(self) -> Query<'a> {
         match self.source {
             QuerySource::Cloud(_) | QuerySource::Filtration(_) => assert!(
@@ -491,6 +496,20 @@ impl<'a> BettiRequest<'a> {
                     "persistence mode needs a filtration (cloud or arena source), \
                      not a prebuilt complex"
                 );
+            }
+        }
+        if let QuerySource::Filtration(filtration) = self.source {
+            assert!(
+                self.dim_hi < filtration.construction_dim(),
+                "dimension {} needs an arena built to dimension {} or higher; \
+                 this one was built to {}",
+                self.dim_hi,
+                self.dim_hi + 1,
+                filtration.construction_dim()
+            );
+            let limit = filtration.construction_epsilon();
+            if let Some(epsilon) = self.epsilons.iter().find(|&&epsilon| epsilon > limit) {
+                panic!("scale {epsilon} exceeds the arena's construction scale {limit}");
             }
         }
         if self.persistence {
@@ -522,7 +541,11 @@ pub struct QuerySlice {
     pub epsilon: Option<f64>,
     /// Per-dimension estimates, in request dimension order.
     pub estimates: Vec<BettiEstimate>,
-    /// Classical Betti numbers for the same dimensions.
+    /// Classical Betti numbers for the same dimensions: over Z/2,
+    /// counted off the arena's persistence pairing, for grid and
+    /// filtration sources; by rank or kernel dimension for a complex
+    /// (and a single-scale cloud). The two agree wherever the homology
+    /// has no torsion.
     pub classical: Vec<usize>,
     /// Aggregated iterative-solver cost of this slice's units (matvec,
     /// Lanczos iteration, restart counts; see
@@ -740,7 +763,10 @@ fn assemble_slice(epsilon: Option<f64>, per_dim: Vec<UnitValue>) -> QuerySlice {
 /// Laplacian and classical-count providers differ (direct assembly vs
 /// arena prefix read), the routing and estimator construction must not —
 /// a single body is what keeps [`unit_on_complex`] and
-/// [`unit_on_filtration`] bit-identical by construction.
+/// [`unit_on_filtration`] bit-identical by construction. `classical`
+/// receives the spectrum when the sparse route decomposed one, so a
+/// provider without an exact count may read β_k = dim ker Δ_k (Eq. 6)
+/// off its zero count.
 fn unit_dispatch(
     n_k: usize,
     estimator_config: &EstimatorConfig,
@@ -748,7 +774,7 @@ fn unit_dispatch(
     shared: Option<(&SpectrumShare, (usize, usize, usize))>,
     sparse_laplacian: impl FnOnce() -> qtda_linalg::CsrMatrix,
     dense_laplacian: impl FnOnce() -> qtda_linalg::Mat,
-    classical: impl FnOnce() -> usize,
+    classical: impl FnOnce(Option<&PaddedSpectrum>) -> usize,
 ) -> UnitValue {
     let estimator = BettiEstimator::new(*estimator_config);
     if n_k == 0 {
@@ -777,17 +803,15 @@ fn unit_dispatch(
                 Some((share, key)) => share.get_or_compute(key, decompose),
                 None => Arc::new(decompose()),
             };
-            // One decomposition serves both outputs: the QPE shot sample
-            // and the classical β_k = dim ker Δ_k (Eq. 6).
-            (estimator.estimate_from_spectrum(&spectrum), spectrum.kernel_dim())
+            (estimator.estimate_from_spectrum(&spectrum), classical(Some(&spectrum)))
         }
         crate::pipeline::BackendKind::DenseEigen => {
-            (estimator.estimate(&dense_laplacian()), classical())
+            (estimator.estimate(&dense_laplacian()), classical(None))
         }
         crate::pipeline::BackendKind::Statevector => {
             let estimator =
                 BettiEstimator::with_backend(*estimator_config, Box::new(StatevectorBackend));
-            (estimator.estimate(&dense_laplacian()), classical())
+            (estimator.estimate(&dense_laplacian()), classical(None))
         }
     });
     (estimate, betti, profile)
@@ -808,9 +832,10 @@ fn run_profiled<T>(f: impl FnOnce() -> T) -> (T, SolveProfile) {
 }
 
 /// One homology dimension of a prebuilt complex: the QPE estimate next
-/// to the classical cross-check, routed by the policy. Pure in its
-/// arguments — this purity is what makes every layer above
-/// scheduling-invariant.
+/// to the classical cross-check, routed by the policy. The sparse route
+/// reads β_k off its spectrum's zero count, the others take the Bareiss
+/// rank. Pure in its arguments — this purity is what makes every layer
+/// above scheduling-invariant.
 pub(crate) fn unit_on_complex(
     complex: &SimplicialComplex,
     k: usize,
@@ -824,14 +849,16 @@ pub(crate) fn unit_on_complex(
         None,
         || combinatorial_laplacian_sparse(complex, k),
         || combinatorial_laplacian(complex, k),
-        || betti_via_rank(complex, k),
+        |spectrum| spectrum.map_or_else(|| betti_via_rank(complex, k), PaddedSpectrum::kernel_dim),
     )
 }
 
 /// One `(ε, dimension)` unit served from a prebuilt filtration arena:
 /// Δ_k at ε is a prefix read (slice-lexicographic order), bit-identical
 /// to the complex-source unit (`unit_on_complex`) on the slice complex.
-/// Returns the QPE estimate, the classical β_k cross-check, and the
+/// Returns the QPE estimate, the classical β_k cross-check — on every
+/// route a count over the arena's stored Z/2 pairing
+/// ([`LaplacianFiltration::betti_at`]), exact by construction — and the
 /// solver cost the unit burned (telemetry only; empty with the `obs`
 /// feature off). `share` deduplicates sparse decompositions across
 /// units of the same arena and estimator parameters (see
@@ -855,7 +882,7 @@ pub fn unit_on_filtration(
         shared,
         || filtration.laplacian_at(k, epsilon),
         || filtration.laplacian_at(k, epsilon).to_dense(),
-        || filtration.betti_at(k, epsilon),
+        |_| filtration.betti_at(k, epsilon),
     )
 }
 
@@ -956,6 +983,57 @@ mod tests {
                 .run()
                 .unit();
             assert_unit(whole.single_slice(), k, alone);
+        }
+    }
+
+    /// The regular tetrahedron: all six edges are √2 long, so at 1.5
+    /// the 3-simplex fills the void its four triangles enclose.
+    fn tetrahedron() -> PointCloud {
+        PointCloud::new(3, vec![1., 0., 0., 0., 1., 0., 0., 0., 1., 1., 1., 1.])
+    }
+
+    /// The unit square: its loop is filled once the √2 diagonals enter.
+    fn unit_square() -> PointCloud {
+        PointCloud::new(2, vec![0., 0., 1., 0., 1., 1., 0., 1.])
+    }
+
+    #[test]
+    #[should_panic(expected = "dimension 2 needs an arena built to dimension 3 or higher")]
+    fn filtration_requests_at_the_construction_dimension_are_refused() {
+        let cloud = tetrahedron();
+        let truth = BettiRequest::of_cloud(&cloud).at_scale(1.5).dimension(2).build().run();
+        assert_eq!(truth.unit().1, 0);
+        let deep = LaplacianFiltration::rips(&cloud, 1.5, 3, Metric::Euclidean);
+        let served = BettiRequest::of_filtration(&deep).at_scale(1.5).dimension(2).build().run();
+        assert_eq!(served.unit().1, 0);
+        // Built to dimension 2, Δ₂ lacks the 3-simplex's up-term and β₂
+        // would read 1.
+        let shallow = LaplacianFiltration::rips(&cloud, 1.5, 2, Metric::Euclidean);
+        let _ = BettiRequest::of_filtration(&shallow).at_scale(1.5).dimension(2).build();
+    }
+
+    #[test]
+    #[should_panic(expected = "scale 1.5 exceeds the arena's construction scale 1.2")]
+    fn filtration_requests_above_the_construction_scale_are_refused() {
+        let cloud = unit_square();
+        let truth = BettiRequest::of_cloud(&cloud).at_scale(1.5).max_dim(1).build().run();
+        assert_eq!(truth.single_slice().classical, [1, 0]);
+        let arena = LaplacianFiltration::rips(&cloud, 1.2, 2, Metric::Euclidean);
+        let within = BettiRequest::of_filtration(&arena).at_scale(1.2).max_dim(1).build().run();
+        assert_eq!(within.single_slice().classical, [1, 1]);
+        // The diagonals that fill the loop at 1.5 were never built, so
+        // β₁ would read 1.
+        let _ = BettiRequest::of_filtration(&arena).at_scale(1.5).max_dim(1).build();
+    }
+
+    #[test]
+    fn degenerate_scales_stay_servable_from_a_filtration() {
+        let cloud = unit_square();
+        let arena = LaplacianFiltration::rips(&cloud, 1.2, 2, Metric::Euclidean);
+        let output =
+            BettiRequest::of_filtration(&arena).on_grid(vec![f64::NAN, -1.0]).build().run();
+        for slice in &output.slices {
+            assert_eq!(slice.classical, [4, 0], "vertices survive ε = {:?}", slice.epsilon);
         }
     }
 

@@ -249,7 +249,8 @@ pub struct SliceResult {
     pub seed: u64,
     /// Per-dimension estimates β̃_0 … β̃_K.
     pub estimates: Vec<BettiEstimate>,
-    /// Classical Betti numbers for the same dimensions.
+    /// Classical Betti numbers for the same dimensions, over Z/2:
+    /// counted off the job arena's persistence pairing on every route.
     pub classical: Vec<usize>,
     /// The slice's persistent-homology payload: its row of the
     /// persistent-Betti triangle per dimension (`row[i] = β_k(ε_i,

@@ -36,6 +36,30 @@
 //! `filtration_equivalence` property suite — which is what lets the
 //! pipeline and batch engine sweep through the arena without changing
 //! a single output bit.
+//!
+//! # One Z/2 reduction serves every classical β
+//!
+//! The build also runs the Z/2 column reduction of each ∂_k once and
+//! keeps the pairing it finds: every positive k-simplex (its column
+//! reduced to zero, so it creates a class) with the appearance index of
+//! the (k+1)-simplex whose reduced column has it as pivot (the killer
+//! of that class), or none. The alive set at ε is a prefix in every
+//! dimension, so
+//!
+//! ```text
+//! β_k(ε) = #{positive j < n_k(ε) : killer(j) absent or ≥ n_{k+1}(ε)}
+//! ```
+//!
+//! is a count over the stored pairing — [`LaplacianFiltration::betti_at`],
+//! [`LaplacianFiltration::bars`] and [`LaplacianFiltration::barcode`]
+//! all read it, with no per-call rank or reduction. The coefficients
+//! are Z/2, as in [`compute_barcode`](crate::persistence::compute_barcode);
+//! on complexes without torsion this equals rank–nullity over Q, which
+//! the property suites pin against [`betti_via_rank`](crate::betti::betti_via_rank).
+//!
+//! Δ_k is stored only below the construction dimension: at that
+//! dimension the (k+1)-simplices were never built, so Δ_k would lack
+//! its up-term, and nothing may read it.
 
 use crate::complex::SimplicialComplex;
 use crate::filtration::diameter;
@@ -45,7 +69,6 @@ use crate::rips::{rips_complex, RipsParams};
 use qtda_linalg::rank::rank_integral;
 use qtda_linalg::sparse::CsrMatrix;
 use qtda_linalg::Mat;
-use std::collections::HashMap;
 
 /// One Laplacian triplet tagged with the ε at which it activates.
 #[derive(Clone, Copy, Debug)]
@@ -60,7 +83,11 @@ struct LapTriplet {
     value: f64,
 }
 
-/// Per-dimension arena: appearance ordering plus the sorted triplets.
+/// Killer index of a class that nothing in the arena kills.
+const ESSENTIAL: u32 = u32::MAX;
+
+/// Per-dimension arena: appearance ordering, ∂ columns, the persistence
+/// pairing, and the sorted Δ_k triplets.
 struct DimensionArena {
     /// Appearance value per k-simplex, ascending (index = appearance
     /// index; the prefix `0..n_k(ε)` is the alive set).
@@ -71,17 +98,24 @@ struct DimensionArena {
     /// ∂_k columns in appearance order: `(row appearance index in
     /// dimension k−1, sign)`. Empty columns for k = 0.
     boundary_cols: Vec<Vec<(u32, i8)>>,
+    /// The Z/2 pairing of this dimension: `(birth, killer)` per
+    /// positive k-simplex in ascending birth order, both appearance
+    /// indices (`killer` in dimension k+1, or [`ESSENTIAL`]).
+    bars: Vec<(u32, u32)>,
     /// Δ_k triplets sorted by `(activation, row, col)` — nested
-    /// prefixes along ε.
+    /// prefixes along ε. Empty at the construction dimension.
     triplets: Vec<LapTriplet>,
 }
 
 /// The filtration-ordered Laplacian arena of a Rips construction: one
 /// build at the construction scale, then any number of ε-slices of
-/// Δ_k (and of the classical rank–nullity Betti numbers) served as
-/// prefix reads. See the module docs for the invariant.
+/// Δ_k served as prefix reads, and classical β_k, bars and the barcode
+/// counted off the one Z/2 pairing the build stores. Δ_k and β_k are
+/// served below the construction dimension. See the module docs for
+/// the invariants.
 pub struct LaplacianFiltration {
     construction_epsilon: f64,
+    construction_dim: usize,
     dims: Vec<DimensionArena>,
 }
 
@@ -95,7 +129,7 @@ impl LaplacianFiltration {
     /// any ε (negative, NaN), higher simplices need `value ≤ ε`.
     pub fn rips(cloud: &PointCloud, max_epsilon: f64, max_dim: usize, metric: Metric) -> Self {
         let complex = rips_complex(cloud, &RipsParams { epsilon: max_epsilon, max_dim, metric });
-        Self::build(&complex, cloud, metric, max_epsilon)
+        Self::build(&complex, cloud, metric, max_epsilon, max_dim)
     }
 
     fn build(
@@ -103,6 +137,7 @@ impl LaplacianFiltration {
         cloud: &PointCloud,
         metric: Metric,
         construction_epsilon: f64,
+        construction_dim: usize,
     ) -> Self {
         let top = complex.max_dim().map_or(0, |d| d + 1);
         // Pass 1: appearance ordering per dimension.
@@ -123,6 +158,7 @@ impl LaplacianFiltration {
                     values,
                     app_of_lex,
                     boundary_cols: Vec::new(),
+                    bars: Vec::new(),
                     triplets: Vec::new(),
                 }
             })
@@ -158,19 +194,37 @@ impl LaplacianFiltration {
             dims[k].boundary_cols = cols;
         }
 
-        // Pass 3: Δ_k triplets per dimension. Walking simplices in
-        // appearance order makes each term's stream activation-sorted
-        // for free (an up-contribution activates with its coface, a
-        // down-contribution with the *later* of its two simplices), so
-        // the arena is a two-pointer merge — no comparison sort at all.
+        // Pass 3: the Z/2 pairing. Reducing ∂_{k+1} marks its positive
+        // (k+1)-simplices and names the killer of each k-class, so one
+        // reduction per dimension pairs every simplex.
+        let mut positive: Vec<bool> = vec![true; dims.first().map_or(0, |d| d.values.len())];
         for k in 0..top {
+            let (next_positive, killers) = match dims.get(k + 1) {
+                Some(above) => reduce_boundary(&above.boundary_cols, dims[k].values.len()),
+                None => (Vec::new(), vec![ESSENTIAL; dims[k].values.len()]),
+            };
+            dims[k].bars = (0..positive.len() as u32)
+                .filter(|&j| positive[j as usize])
+                .map(|j| (j, killers[j as usize]))
+                .collect();
+            positive = next_positive;
+        }
+
+        // Pass 4: Δ_k triplets per dimension below the construction
+        // dimension (at it, the up-term's cofaces were never built).
+        // Walking simplices in appearance order makes each term's
+        // stream activation-sorted for free (an up-contribution
+        // activates with its coface, a down-contribution with the
+        // *later* of its two simplices), so the arena is a two-pointer
+        // merge — no comparison sort at all.
+        for k in 0..top.min(construction_dim) {
             let up = if k + 1 < top { up_triplets(&dims[k + 1]) } else { Vec::new() };
             let down =
                 if k > 0 { down_triplets(&dims[k], dims[k - 1].values.len()) } else { Vec::new() };
             dims[k].triplets = merge_by_activation(up, down);
         }
 
-        LaplacianFiltration { construction_epsilon, dims }
+        LaplacianFiltration { construction_epsilon, construction_dim, dims }
     }
 
     /// The scale the arena was constructed at; slices are exact at or
@@ -179,8 +233,15 @@ impl LaplacianFiltration {
         self.construction_epsilon
     }
 
+    /// The simplex dimension the arena was built to (`rips`' `max_dim`).
+    /// Δ_k and β_k are served for every k below it.
+    pub fn construction_dim(&self) -> usize {
+        self.construction_dim
+    }
+
     /// Highest simplex dimension with at least one simplex, or `None`
-    /// for an empty construction.
+    /// for an empty construction. At most [`Self::construction_dim`],
+    /// and lower when the cloud has no simplex of that dimension.
     pub fn max_dim(&self) -> Option<usize> {
         if self.dims.is_empty() {
             None
@@ -205,14 +266,15 @@ impl LaplacianFiltration {
     }
 
     /// Approximate resident bytes of the arena (triplets, boundary
-    /// columns, orderings) — the number serving stats report as the
-    /// amortisation footprint.
+    /// columns, the pairing, orderings) — the number serving stats
+    /// report as the amortisation footprint.
     pub fn arena_bytes(&self) -> usize {
         self.dims
             .iter()
             .map(|d| {
                 d.values.len() * std::mem::size_of::<f64>()
                     + d.app_of_lex.len() * std::mem::size_of::<u32>()
+                    + d.bars.len() * std::mem::size_of::<(u32, u32)>()
                     + d.triplets.len() * std::mem::size_of::<LapTriplet>()
                     + d.boundary_cols
                         .iter()
@@ -229,8 +291,13 @@ impl LaplacianFiltration {
     /// (structure, value bits, dropped zeros) to
     /// `combinatorial_laplacian_sparse(rips_complex(cloud, ε), k)`,
     /// assembled from the arena prefix in `O(nnz(ε) + N_k)`.
+    ///
+    /// # Panics
+    /// If k-simplices are alive at ε but k is not below
+    /// [`Self::construction_dim`]: that Δ_k lacks its up-term.
     pub fn laplacian_at(&self, k: usize, epsilon: f64) -> CsrMatrix {
         let n = self.count_at(k, epsilon);
+        self.assert_below_construction_dim(k, n);
         let Some(arena) = self.dims.get(k) else {
             return CsrMatrix::from_sorted_triplets(n, n, &[]);
         };
@@ -257,18 +324,39 @@ impl LaplacianFiltration {
         CsrMatrix::from_sorted_triplets(n, n, &sorted)
     }
 
-    /// Classical β_k at ε via rank–nullity on the boundary prefixes —
-    /// the same exact-integer ranks as
+    /// Classical β_k at ε over Z/2, counted off the stored pairing: the
+    /// positive k-simplices alive at ε whose class no (k+1)-simplex
+    /// alive at ε kills. Alive means an appearance index below
+    /// [`Self::count_at`], so the degenerate-scale rules carry over
+    /// (vertices survive any ε). Equals
     /// [`betti_via_rank`](crate::betti::betti_via_rank) on the slice
-    /// complex (rank is invariant under the appearance permutation).
+    /// complex wherever the homology has no torsion.
+    ///
+    /// # Panics
+    /// If k-simplices are alive at ε but k is not below
+    /// [`Self::construction_dim`]: their killers were never built.
     pub fn betti_at(&self, k: usize, epsilon: f64) -> usize {
         let n_k = self.count_at(k, epsilon);
-        if n_k == 0 {
+        self.assert_below_construction_dim(k, n_k);
+        let Some(arena) = self.dims.get(k) else {
             return 0;
-        }
-        let rank_k = if k == 0 { 0 } else { rank_integral(&self.boundary_dense_at(k, epsilon)) };
-        let rank_k1 = rank_integral(&self.boundary_dense_at(k + 1, epsilon));
-        n_k - rank_k - rank_k1
+        };
+        let alive_above = self.count_at(k + 1, epsilon) as u32;
+        arena
+            .bars
+            .iter()
+            .take_while(|&&(birth, _)| (birth as usize) < n_k)
+            .filter(|&&(_, killer)| killer >= alive_above)
+            .count()
+    }
+
+    fn assert_below_construction_dim(&self, k: usize, alive: usize) {
+        assert!(
+            k < self.construction_dim || alive == 0,
+            "dimension {k} is not below the arena's construction dimension {}; \
+             build the arena at least one dimension higher",
+            self.construction_dim
+        );
     }
 
     /// Persistent Betti number β_k(ε_i, ε_j): classes alive at ε_i that
@@ -331,24 +419,14 @@ impl LaplacianFiltration {
 
     /// The dimension-k bars of the arena's filtration (birth/death in
     /// scale values, essential classes `None`), in the canonical
-    /// [`canonical_pair_order`]. Computed by per-dimension Z/2 column
-    /// reduction over the appearance-ordered boundary prefixes — the
-    /// same pairing as the global reduction in
+    /// [`canonical_pair_order`]. Read off the pairing the build's
+    /// per-dimension Z/2 column reduction stored — the same pairing as
+    /// the global reduction in
     /// [`compute_barcode`](crate::persistence::compute_barcode), because
     /// within one dimension the global filtration order *is* appearance
     /// order and reduction never mixes dimensions.
     pub fn bars(&self, k: usize) -> Vec<PersistencePair> {
-        let Some(arena) = self.dims.get(k) else {
-            return Vec::new();
-        };
-        let (positive, _) = self.reduce_boundary(k);
-        let (_, deaths) = self.reduce_boundary(k + 1);
-        let mut pairs: Vec<PersistencePair> = positive
-            .iter()
-            .enumerate()
-            .filter(|&(_, &pos)| pos)
-            .map(|(j, _)| PersistencePair { dim: k, birth: arena.values[j], death: deaths[j] })
-            .collect();
+        let mut pairs = self.pairs_of(k);
         pairs.sort_by(canonical_pair_order);
         pairs
     }
@@ -363,66 +441,27 @@ impl LaplacianFiltration {
     /// both birth/death values come from the same
     /// `diameter` computation.
     pub fn barcode(&self) -> Barcode {
-        let top = self.dims.len();
-        let mut pairs = Vec::new();
-        let mut prev_positive: Vec<bool> = Vec::new();
-        for k in 0..=top {
-            let (positive, deaths) = self.reduce_boundary(k);
-            if k > 0 {
-                let values = &self.dims[k - 1].values;
-                for (j, &pos) in prev_positive.iter().enumerate() {
-                    if pos {
-                        pairs.push(PersistencePair {
-                            dim: k - 1,
-                            birth: values[j],
-                            death: deaths[j],
-                        });
-                    }
-                }
-            }
-            prev_positive = positive;
-        }
+        let mut pairs: Vec<PersistencePair> =
+            (0..self.dims.len()).flat_map(|k| self.pairs_of(k)).collect();
         pairs.sort_by(canonical_pair_order);
         Barcode { pairs }
     }
 
-    /// Z/2 column reduction of the full ∂_k arena (construction scale).
-    /// Returns, per k-simplex, whether its column reduced to zero (a
-    /// *positive* simplex, creating a k-class), and per (k−1)-simplex
-    /// the scale at which the class it created dies (`None` if nothing
-    /// in dimension k kills it). `k = 0` has no boundary: every vertex
-    /// is positive. Past the top dimension: no columns, no deaths.
-    fn reduce_boundary(&self, k: usize) -> (Vec<bool>, Vec<Option<f64>>) {
-        let n_prev = if k == 0 { 0 } else { self.dims.get(k - 1).map_or(0, |d| d.values.len()) };
-        let mut deaths: Vec<Option<f64>> = vec![None; n_prev];
+    /// The stored dimension-k pairing as scale-valued pairs, in birth
+    /// order.
+    fn pairs_of(&self, k: usize) -> Vec<PersistencePair> {
         let Some(arena) = self.dims.get(k) else {
-            return (Vec::new(), deaths);
+            return Vec::new();
         };
-        if k == 0 {
-            return (vec![true; arena.values.len()], deaths);
-        }
-        let n = arena.boundary_cols.len();
-        let mut columns: Vec<Vec<u32>> = Vec::with_capacity(n);
-        let mut low_to_col: HashMap<u32, usize> = HashMap::with_capacity(n);
-        let mut positive = vec![false; n];
-        for (j, rows) in arena.boundary_cols.iter().enumerate() {
-            let mut col: Vec<u32> = rows.iter().map(|&(r, _)| r).collect();
-            col.sort_unstable();
-            while let Some(&low) = col.last() {
-                match low_to_col.get(&low) {
-                    Some(&earlier) => col = symmetric_difference(&col, &columns[earlier]),
-                    None => break,
-                }
-            }
-            if let Some(&low) = col.last() {
-                low_to_col.insert(low, j);
-                deaths[low as usize] = Some(arena.values[j]);
-            } else {
-                positive[j] = true;
-            }
-            columns.push(col);
-        }
-        (positive, deaths)
+        arena
+            .bars
+            .iter()
+            .map(|&(birth, killer)| PersistencePair {
+                dim: k,
+                birth: arena.values[birth as usize],
+                death: (killer != ESSENTIAL).then(|| self.dims[k + 1].values[killer as usize]),
+            })
+            .collect()
     }
 
     /// Dense ∂_k restricted to the ε-prefix, in appearance order
@@ -467,6 +506,36 @@ impl LaplacianFiltration {
         }
         m
     }
+}
+
+/// Z/2 column reduction of one full ∂_k arena (k ≥ 1, construction
+/// scale, columns in appearance order) over `n_faces` (k−1)-simplices.
+/// Returns, per k-simplex, whether its column reduced to zero (a
+/// *positive* simplex, creating a k-class), and per (k−1)-simplex the
+/// appearance index of the k-simplex whose reduced column has it as
+/// pivot — the killer of the class it created — or [`ESSENTIAL`].
+fn reduce_boundary(cols: &[Vec<(u32, i8)>], n_faces: usize) -> (Vec<bool>, Vec<u32>) {
+    let mut killers = vec![ESSENTIAL; n_faces];
+    let mut positive = vec![false; cols.len()];
+    let mut reduced: Vec<Vec<u32>> = Vec::with_capacity(cols.len());
+    for (j, rows) in cols.iter().enumerate() {
+        let mut col: Vec<u32> = rows.iter().map(|&(r, _)| r).collect();
+        col.sort_unstable();
+        // The pivot table doubles as the killer table: column j owns
+        // pivot `low` exactly when it kills the class born at `low`.
+        while let Some(&low) = col.last() {
+            match killers[low as usize] {
+                ESSENTIAL => break,
+                earlier => col = symmetric_difference(&col, &reduced[earlier as usize]),
+            }
+        }
+        match col.last() {
+            Some(&low) => killers[low as usize] = j as u32,
+            None => positive[j] = true,
+        }
+        reduced.push(col);
+    }
+    (positive, killers)
 }
 
 /// Up-term ∂_{k+1}∂_{k+1}ᵀ contributions: every (k+1)-simplex couples
@@ -689,6 +758,44 @@ mod tests {
         assert_eq!(filt.count_at(9, 0.5), 0);
         assert_eq!(filt.laplacian_at(9, 0.5).n_rows(), 0);
         assert_eq!(filt.betti_at(9, 0.5), 0);
+    }
+
+    #[test]
+    fn construction_dimension_laplacian_is_not_stored() {
+        let pc = cloud();
+        let filt = LaplacianFiltration::rips(&pc, 0.9, 2, Metric::Euclidean);
+        assert_eq!(filt.construction_dim(), 2);
+        assert_eq!(filt.max_dim(), Some(2), "the cloud has triangles at 0.9");
+        assert_eq!(filt.triplets_at(2, 0.9), 0, "Δ₂ would lack its up-term");
+        assert!(filt.triplets_at(1, 0.9) > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "not below the arena's construction dimension 2")]
+    fn construction_dimension_laplacian_is_refused() {
+        let filt = LaplacianFiltration::rips(&cloud(), 0.9, 2, Metric::Euclidean);
+        let _ = filt.laplacian_at(2, 0.9);
+    }
+
+    #[test]
+    #[should_panic(expected = "not below the arena's construction dimension 2")]
+    fn construction_dimension_betti_is_refused() {
+        let filt = LaplacianFiltration::rips(&cloud(), 0.9, 2, Metric::Euclidean);
+        let _ = filt.betti_at(2, 0.9);
+    }
+
+    #[test]
+    fn top_laplacian_is_served_when_the_construction_dimension_is_empty() {
+        // Three collinear points: two edges, no triangle at 1.6, so the
+        // top arena is Δ₁ and its up-term is complete (empty).
+        let pc = PointCloud::new(1, vec![0.0, 1.0, 2.5]);
+        let filt = LaplacianFiltration::rips(&pc, 1.6, 2, Metric::Euclidean);
+        assert_eq!(filt.max_dim(), Some(1));
+        let complex =
+            rips_complex(&pc, &RipsParams { epsilon: 1.6, max_dim: 2, metric: Metric::Euclidean });
+        assert_eq!(filt.laplacian_at(1, 1.6), combinatorial_laplacian_sparse(&complex, 1));
+        assert_eq!(filt.betti_at(0, 1.6), 1);
+        assert_eq!(filt.betti_at(1, 1.6), 0);
     }
 
     #[test]

@@ -18,8 +18,10 @@
 //! * [`betti`] — classical Betti numbers via rank–nullity *and* via the
 //!   Laplacian kernel (Eq. 6), cross-checked in tests;
 //! * [`laplacian_filtration`] — the incremental ε-sweep substrate: one
-//!   activation-sorted triplet arena per dimension, every slice's Δ_k a
-//!   prefix read (bit-identical to direct assembly);
+//!   activation-sorted triplet arena per dimension below the
+//!   construction dimension, every slice's Δ_k a prefix read
+//!   (bit-identical to direct assembly), and one stored Z/2 persistence
+//!   pairing that classical β_k (a count), bars and the barcode read;
 //! * [`random`] — the random-complex generators behind the paper's Fig. 3;
 //! * [`takens`] — time-delay embedding of scalar series (giotto-tda's
 //!   `TakensEmbedding`);
